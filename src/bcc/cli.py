@@ -230,42 +230,6 @@ def _cmd_matrix(args) -> int:
 # -- verify-propositions ----------------------------------------------------
 
 
-def _closed_pairs_greedy(composition, roots, max_pairs):
-    """BFS closure of the roots in order, dropping any root whose closure
-    would push the universe past max_pairs.  Returns (pairs in discovery
-    order, kept root pairs, dropped root positions)."""
-    discovered = {}
-    kept = []
-    dropped = []
-    for position, root in enumerate(roots):
-        if root in discovered:
-            kept.append(root)
-            continue
-        added = []
-        if len(discovered) < max_pairs:
-            discovered[root] = None
-            added.append(root)
-        overflow = len(added) == 0
-        cursor = 0
-        while cursor < len(added) and not overflow:
-            ps = added[cursor]
-            cursor += 1
-            for t in composition.tau_successors(ps):
-                if t not in discovered:
-                    if len(discovered) >= max_pairs:
-                        overflow = True
-                        break
-                    discovered[t] = None
-                    added.append(t)
-        if overflow:
-            for ps in added:
-                del discovered[ps]
-            dropped.append(position)
-        else:
-            kept.append(root)
-    return tuple(discovered), tuple(dict.fromkeys(kept)), tuple(dropped)
-
-
 def _cmd_verify(args) -> int:
     start = time.perf_counter()
     max_pairs = args.max_pairs or _default_max_pairs()
@@ -306,7 +270,19 @@ def _cmd_verify(args) -> int:
     roots = [
         PairState(c, s) for c, s in zip(client_initials, server_initials)
     ]
-    pairs, kept_roots, dropped = _closed_pairs_greedy(composition, roots, max_pairs)
+    # greedy: keep each root whose closure still fits the bound, rolling
+    # back the pairs a dropped root added
+    record = {}
+    kept_roots = {}
+    dropped = []
+    for position, root in enumerate(roots):
+        size = len(record)
+        if composition.explore(record, [root], max_pairs):
+            kept_roots[root] = None
+        else:
+            while len(record) > size:
+                record.popitem()
+            dropped.append(position)
     if not kept_roots:
         raise BccError("every pair exceeded the universe bound; raise --max-pairs")
     for position in dropped:
@@ -315,7 +291,7 @@ def _cmd_verify(args) -> int:
             f"{max_pairs} exceeded",
             file=sys.stderr,
         )
-    universe = PairUniverse(composition, pairs, kept_roots)
+    universe = PairUniverse(composition, record, kept_roots)
 
     sets = relation_sets(universe)
     reports = verify_universe(universe, sets=sets)
@@ -467,6 +443,9 @@ def main(argv=None) -> int:
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError as exc:
+        print(f"error: input nested too deeply: {exc}", file=sys.stderr)
         return 2
 
 

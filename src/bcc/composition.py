@@ -41,18 +41,16 @@ class Composition:
 
     def compose_step(self, ps: PairState) -> tuple:
         """All (label, target) moves of the pair, deduplicated, in
-        (label, client, server) order."""
-        self._check(ps)
+        (label, client, server) order: the visible moves of either side
+        alone, and a tau-move to each of ``tau_successors``."""
+        moves = {(TAU, t) for t in self.tau_successors(ps)}
         c, s = ps
-        moves = set()
-        for lab, c2 in self.client.out_edges(c):
-            moves.add((lab, PairState(c2, s)))
-        for lab, s2 in self.server.out_edges(s):
-            moves.add((lab, PairState(c, s2)))
         for lab, c2 in self.client.out_edges(c):
             if lab.is_visible:
-                for s2 in self.server.successors(s, lab.dual()):
-                    moves.add((TAU, PairState(c2, s2)))
+                moves.add((lab, PairState(c2, s)))
+        for lab, s2 in self.server.out_edges(s):
+            if lab.is_visible:
+                moves.add((lab, PairState(c, s2)))
         return tuple(sorted(moves))
 
     def tau_successors(self, ps: PairState) -> tuple:
@@ -77,54 +75,65 @@ class Composition:
     def is_stuck(self, ps: PairState) -> bool:
         return not self.tau_successors(ps)
 
+    def explore(self, record: dict, roots, max_pairs: int) -> bool:
+        """Extend a tau-closed ``record`` (pair -> its tau-successors, in
+        discovery order) to the least tau-closed superset of the roots.
+
+        New roots are discovered first, in the order listed, then their
+        successors in BFS order; ties among a pair's successors break by
+        (client id, server id).  Returns False, with the record partly
+        extended, when the record would grow past ``max_pairs`` pairs.
+        """
+        queue = deque()
+        for r in roots:
+            if r not in record:
+                if len(record) >= max_pairs:
+                    return False
+                record[r] = None
+                queue.append(r)
+        while queue:
+            ps = queue.popleft()
+            targets = record[ps] = self.tau_successors(ps)
+            for t in targets:
+                if t not in record:
+                    if len(record) >= max_pairs:
+                        return False
+                    record[t] = None
+                    queue.append(t)
+        return True
+
     def build_universe(
         self, roots: Iterable[PairState], max_pairs: int = DEFAULT_MAX_PAIRS
     ) -> "PairUniverse":
-        """Least tau-successor-closed superset of the roots.
-
-        Pairs are numbered in BFS order from the roots as listed; ties among
-        a pair's successors break by (client id, server id).
-        """
+        """Least tau-successor-closed superset of the roots, numbered as
+        ``explore`` discovers the pairs."""
         roots = tuple(dict.fromkeys(PairState(*r) for r in roots))
         for r in roots:
             self._check(r)
-        if len(roots) > max_pairs:
+        record = {}
+        if not self.explore(record, roots, max_pairs):
             raise PairExplosionError(f"more than {max_pairs} pairs in universe")
-        discovered = dict.fromkeys(roots)
-        queue = deque(roots)
-        while queue:
-            ps = queue.popleft()
-            for t in self.tau_successors(ps):
-                if t not in discovered:
-                    if len(discovered) >= max_pairs:
-                        raise PairExplosionError(
-                            f"more than {max_pairs} pairs in universe"
-                        )
-                    discovered[t] = None
-                    queue.append(t)
-        return PairUniverse(self, tuple(discovered), roots)
+        return PairUniverse(self, record, roots)
 
 
 class PairUniverse:
     """Finite tau-successor-closed set of pairs: the lattice carrier.
 
-    Immutable after construction; indices follow the order of ``pairs``.
+    Built from an ``explore`` record; immutable after construction; indices
+    follow the order of ``pairs``.
     """
 
-    def __init__(self, composition: Composition, pairs, roots):
+    def __init__(self, composition: Composition, record: dict, roots):
         self.composition = composition
-        self.pairs = tuple(pairs)
+        self.pairs = tuple(record)
         self.roots = tuple(roots)
         self._index = {ps: i for i, ps in enumerate(self.pairs)}
-        if len(self._index) != len(self.pairs):
-            raise ValueError("duplicate pairs in universe")
         for r in self.roots:
             if r not in self._index:
                 raise ValueError(f"root {r!r} not among the universe pairs")
 
         successors = []
-        for ps in self.pairs:
-            targets = composition.tau_successors(ps)
+        for ps, targets in record.items():
             for t in targets:
                 if t not in self._index:
                     raise ValueError(
@@ -154,14 +163,6 @@ class PairUniverse:
     @property
     def root(self) -> PairState:
         return self.roots[0]
-
-    @property
-    def tau_edges(self) -> tuple:
-        return tuple(
-            (self.pairs[i], self.pairs[t])
-            for i, targets in enumerate(self.successors_idx)
-            for t in targets
-        )
 
     def __len__(self) -> int:
         return len(self.pairs)

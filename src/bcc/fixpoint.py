@@ -3,9 +3,12 @@
 One application of the functional maps a candidate relation to: the
 successful pairs, plus every pair that can take a tau-step and all of whose
 tau-successors already belong to the candidate.  The functional is monotone
-on the (finite) powerset lattice of a universe, so iterating it from the
-empty set and from the full universe yields its least and greatest fixed
-points; relation restrictions can then be classified as pre-fixed,
+on the (finite) powerset lattice of a universe.  Its least fixed point is
+the attractor of the successful pairs and its greatest is the complement of
+backward reachability from the stuck unsuccessful pairs; both are computed
+in time linear in the universe with the graph kernels of ``lts``, not by
+iterating the functional (the test suite keeps that iteration as the
+oracle).  Relation restrictions can then be classified as pre-fixed,
 post-fixed, or fixed.
 """
 
@@ -16,6 +19,7 @@ from typing import Iterable
 
 from .composition import PairState, PairUniverse
 from .errors import UniverseMismatchError
+from .lts import attractor, reach
 from .relations import RelationKind, holding_indices
 
 
@@ -85,23 +89,28 @@ def compliance_step(x: PairSet) -> PairSet:
 
 
 def least_fixpoint(universe: PairUniverse) -> PairSet:
-    """Iterate the functional upward from the empty set until stable."""
-    x = PairSet.empty(universe)
-    while True:
-        nxt = compliance_step(x)
-        if nxt.indices == x.indices:
-            return x
-        x = nxt
+    """The least fixed point: the attractor of the successful pairs, i.e.
+    the successful pairs plus, repeatedly, every pair with a tau-step all of
+    whose tau-successors are already in."""
+    return PairSet(
+        universe,
+        attractor(
+            universe.successors_idx,
+            universe.predecessors_idx,
+            universe.successful_indices,
+        ),
+    )
 
 
 def greatest_fixpoint(universe: PairUniverse) -> PairSet:
-    """Iterate the functional downward from the full universe until stable."""
-    x = PairSet.full(universe)
-    while True:
-        nxt = compliance_step(x)
-        if nxt.indices == x.indices:
-            return x
-        x = nxt
+    """The greatest fixed point: every pair from which no stuck unsuccessful
+    pair is tau-reachable through unsuccessful pairs."""
+    everything = frozenset(range(len(universe)))
+    unsuccessful = everything - universe.successful_indices
+    stuck = (i for i in unsuccessful if universe.is_stuck_index(i))
+    return PairSet(
+        universe, everything - reach(universe.predecessors_idx, stuck, unsuccessful)
+    )
 
 
 def restrict(universe: PairUniverse, kind: RelationKind) -> PairSet:

@@ -5,6 +5,10 @@ state: the unique state without outgoing edges (absent when the contract can
 never terminate).  Derived tables -- tau-closures, weak barbs, divergence --
 are computed once at construction; graphs are immutable afterwards and safe
 to read from any number of threads.
+
+The two graph kernels every layer of the package shares live here too:
+``reach`` (BFS closure) and ``attractor`` (counter-based dead-end
+propagation), both over integer adjacency tuples.
 """
 
 from __future__ import annotations
@@ -90,6 +94,42 @@ class BarbSet:
 Edge = tuple  # (source: int, label: Label, target: int)
 
 
+def reach(adj, sources, within=None) -> frozenset:
+    """Nodes reachable from the sources along ``adj`` (sources included),
+    by paths that stay inside ``within`` when given."""
+    seen = set(sources) if within is None else {s for s in sources if s in within}
+    queue = deque(seen)
+    while queue:
+        u = queue.popleft()
+        for v in adj[u]:
+            if v not in seen and (within is None or v in within):
+                seen.add(v)
+                queue.append(v)
+    return frozenset(seen)
+
+
+def attractor(succ, pred, seeds) -> frozenset:
+    """Least set containing the seeds and every node with at least one
+    successor, all of whose successors are in the set.
+
+    Counter-based propagation, linear in the size of the graph: a node
+    joins when its count of successors outside the set drops to zero.
+    ``pred`` must be ``succ`` reversed, edge for edge.
+    """
+    outside = [len(targets) for targets in succ]
+    inside = set(seeds)
+    queue = deque(inside)
+    while queue:
+        v = queue.popleft()
+        for u in pred[v]:
+            if u not in inside:
+                outside[u] -= 1
+                if outside[u] == 0:
+                    inside.add(u)
+                    queue.append(u)
+    return frozenset(inside)
+
+
 class ContractGraph:
     """Immutable finite LTS over {tau, ?a, !a} labels.
 
@@ -141,41 +181,20 @@ class ContractGraph:
         self._tau_adj = tuple(
             tuple(t for (lab, t) in outs if lab.is_internal) for outs in self._out
         )
-        self._closure = tuple(self._compute_closure(s) for s in range(num_states))
-        self._diverging = self._compute_diverging()
+        tau_pred = [[] for _ in range(num_states)]
+        for s, targets in enumerate(self._tau_adj):
+            for t in targets:
+                tau_pred[t].append(s)
+        self._closure = tuple(reach(self._tau_adj, (s,)) for s in range(num_states))
+        # a state diverges iff it starts an infinite tau-path, i.e. iff it
+        # is outside the attractor of the states without tau-successors
+        tau_stuck = (s for s in range(num_states) if not self._tau_adj[s])
+        self._diverging = frozenset(range(num_states)) - attractor(
+            self._tau_adj, tau_pred, tau_stuck
+        )
         self._weak = tuple(self._compute_weak_barbs(s) for s in range(num_states))
 
     # -- construction helpers -------------------------------------------
-
-    def _compute_closure(self, start: int) -> frozenset:
-        seen = {start}
-        queue = deque([start])
-        while queue:
-            s = queue.popleft()
-            for t in self._tau_adj[s]:
-                if t not in seen:
-                    seen.add(t)
-                    queue.append(t)
-        return frozenset(seen)
-
-    def _compute_diverging(self) -> frozenset:
-        # A state diverges iff it starts an infinite tau-path, i.e. iff it
-        # survives repeated deletion of states without tau-successors.
-        degree = [len(self._tau_adj[s]) for s in range(self.num_states)]
-        preds = [[] for _ in range(self.num_states)]
-        for s in range(self.num_states):
-            for t in self._tau_adj[s]:
-                preds[t].append(s)
-        queue = deque(s for s in range(self.num_states) if degree[s] == 0)
-        dead = set(queue)
-        while queue:
-            t = queue.popleft()
-            for p in preds[t]:
-                degree[p] -= 1
-                if degree[p] == 0 and p not in dead:
-                    dead.add(p)
-                    queue.append(p)
-        return frozenset(s for s in range(self.num_states) if s not in dead)
 
     def _compute_weak_barbs(self, s: int) -> BarbSet:
         ins, outs = set(), set()

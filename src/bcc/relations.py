@@ -1,8 +1,10 @@
 """Decision procedures for the six compliance relations on finite pairs.
 
-Each relation is decided over the tau-closed universe of the composition.
-The per-universe evaluators below are plain reachability analyses (forward,
-backward, and cycle detection); none of them iterates the compliance
+Each relation is decided over the tau-closed universe of the composition as
+one reachability question: which pairs can reach the relation's target set
+(its violations; for may-testing, success).  The same search decides a
+single root and yields its witness.  The deciders share only the generic
+graph kernels of ``lts`` with the fixed points, never the compliance
 functional, so they stay independent of the fixed-point machinery that the
 test suite checks them against.
 """
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .composition import DEFAULT_MAX_PAIRS, Composition, PairState, PairUniverse
-from .lts import ContractGraph
+from .lts import ContractGraph, attractor, reach
 
 
 class RelationKind(enum.Enum):
@@ -48,43 +50,6 @@ class Verdict:
 # -- per-universe set evaluators ------------------------------------------
 
 
-def _can_reach(universe: PairUniverse, targets, within=None) -> frozenset:
-    """Indices from which some target is tau-reachable (targets included),
-    along paths that stay inside ``within`` when given."""
-    if within is not None:
-        seen = set(t for t in targets if t in within)
-    else:
-        seen = set(targets)
-    queue = deque(seen)
-    while queue:
-        t = queue.popleft()
-        for p in universe.predecessors_idx[t]:
-            if p not in seen and (within is None or p in within):
-                seen.add(p)
-                queue.append(p)
-    return frozenset(seen)
-
-
-def _infinite_indices(universe: PairUniverse, within=None) -> frozenset:
-    """Indices starting an infinite tau-path that stays inside ``within``:
-    the survivors of repeatedly deleting members without successors."""
-    members = frozenset(range(len(universe))) if within is None else frozenset(within)
-    degree = {}
-    for i in members:
-        degree[i] = sum(1 for t in universe.successors_idx[i] if t in members)
-    queue = deque(i for i in members if degree[i] == 0)
-    dead = set(queue)
-    while queue:
-        t = queue.popleft()
-        for p in universe.predecessors_idx[t]:
-            if p in members and p not in dead:
-                degree[p] -= 1
-                if degree[p] == 0:
-                    dead.add(p)
-                    queue.append(p)
-    return members - dead
-
-
 def _progress_violations(universe: PairUniverse) -> frozenset:
     return frozenset(
         i
@@ -96,13 +61,11 @@ def _progress_violations(universe: PairUniverse) -> frozenset:
 def _beh_violations(universe: PairUniverse) -> frozenset:
     client = universe.client_graph
     server = universe.server_graph
-    bad = set()
-    for i, (c, s) in enumerate(universe.pairs):
-        if universe.is_stuck_index(i) and not universe.is_successful_index(i):
-            bad.add(i)
-        elif server.may_diverge(s) and not client.weak_reaches_zero(c):
-            bad.add(i)
-    return frozenset(bad)
+    return _progress_violations(universe) | frozenset(
+        i
+        for i, (c, s) in enumerate(universe.pairs)
+        if server.may_diverge(s) and not client.weak_reaches_zero(c)
+    )
 
 
 def _io_violations(universe: PairUniverse) -> frozenset:
@@ -121,34 +84,43 @@ def _io_violations(universe: PairUniverse) -> frozenset:
     return frozenset(bad)
 
 
-def holding_indices(universe: PairUniverse, kind: RelationKind) -> frozenset:
-    """Indices of the pairs at which the relation holds, each judged over
-    the sub-universe reachable from that pair."""
+def _targets(universe: PairUniverse, kind: RelationKind) -> tuple:
+    """The relation's search: ``(targets, within)``.  The relation holds at
+    a pair iff no target is tau-reachable from it along a path inside
+    ``within`` (None: anywhere); may-testing holds iff one is."""
     everything = frozenset(range(len(universe)))
+    successful = universe.successful_indices
     if kind is RelationKind.PROGRESS:
-        return everything - _can_reach(universe, _progress_violations(universe))
+        return _progress_violations(universe), None
     if kind is RelationKind.MAY:
-        return _can_reach(universe, universe.successful_indices)
+        return successful, None
     if kind is RelationKind.SHOULD:
-        doomed = everything - _can_reach(universe, universe.successful_indices)
-        return everything - _can_reach(universe, doomed)
+        return everything - reach(universe.predecessors_idx, successful), None
     if kind is RelationKind.BEH:
-        return everything - _can_reach(universe, _beh_violations(universe))
+        return _beh_violations(universe), None
     if kind is RelationKind.IO:
-        return everything - _can_reach(universe, _io_violations(universe))
+        return _io_violations(universe), None
     if kind is RelationKind.MUST:
-        successful = universe.successful_indices
-        unsuccessful = everything - successful
-        stuck = frozenset(
-            i for i in unsuccessful if universe.is_stuck_index(i)
+        # stuck, or starting an infinite tau-path that avoids success
+        stuck = frozenset(i for i in everything if universe.is_stuck_index(i))
+        diverging = everything - attractor(
+            universe.successors_idx, universe.predecessors_idx, successful | stuck
         )
-        diverging = _infinite_indices(universe, within=unsuccessful)
-        doomed = _can_reach(universe, stuck | diverging, within=unsuccessful)
-        return successful | (unsuccessful - doomed)
+        return stuck | diverging, everything - successful
     raise ValueError(f"unknown relation kind: {kind!r}")
 
 
-# -- witnesses -------------------------------------------------------------
+def holding_indices(universe: PairUniverse, kind: RelationKind) -> frozenset:
+    """Indices of the pairs at which the relation holds, each judged over
+    the sub-universe reachable from that pair."""
+    targets, within = _targets(universe, kind)
+    reaching = reach(universe.predecessors_idx, targets, within)
+    if kind is RelationKind.MAY:
+        return reaching
+    return frozenset(range(len(universe))) - reaching
+
+
+# -- per-root verdicts and witnesses ---------------------------------------
 
 
 def _shortest_path(universe, source: int, targets, within=None):
@@ -199,52 +171,18 @@ def _lasso_extension(universe, start: int, pool) -> list:
         positions.add(nxt)
 
 
-def _must_witness(universe, root: int):
-    successful = universe.successful_indices
-    unsuccessful = frozenset(range(len(universe))) - successful
-    stuck = frozenset(i for i in unsuccessful if universe.is_stuck_index(i))
-    diverging = _infinite_indices(universe, within=unsuccessful)
-    path = _shortest_path(
-        universe, root, stuck | diverging, within=unsuccessful
-    )
-    if path is None:
-        return None
-    if path[-1] in diverging:
-        path = path + _lasso_extension(universe, path[-1], diverging)
-    return path
-
-
-def _witness_indices(universe, root: int, kind: RelationKind, holds: bool):
-    if kind is RelationKind.MAY:
-        if holds:
-            return _shortest_path(universe, root, universe.successful_indices)
-        return None
-    if holds:
-        return None
-    if kind is RelationKind.PROGRESS:
-        return _shortest_path(universe, root, _progress_violations(universe))
-    if kind is RelationKind.SHOULD:
-        everything = frozenset(range(len(universe)))
-        doomed = everything - _can_reach(universe, universe.successful_indices)
-        return _shortest_path(universe, root, doomed)
-    if kind is RelationKind.BEH:
-        return _shortest_path(universe, root, _beh_violations(universe))
-    if kind is RelationKind.IO:
-        return _shortest_path(universe, root, _io_violations(universe))
-    if kind is RelationKind.MUST:
-        return _must_witness(universe, root)
-    raise ValueError(f"unknown relation kind: {kind!r}")
-
-
 def verdict_at(universe: PairUniverse, root: PairState, kind: RelationKind) -> Verdict:
     """Decide one relation for the contracts rooted at ``root`` inside an
     existing universe."""
     root_idx = universe.index_of(root)
-    holds = root_idx in holding_indices(universe, kind)
-    indices = _witness_indices(universe, root_idx, kind, holds)
-    witness = (
-        None if indices is None else tuple(universe.pairs[i] for i in indices)
-    )
+    targets, within = _targets(universe, kind)
+    path = _shortest_path(universe, root_idx, targets, within)
+    holds = (path is not None) if kind is RelationKind.MAY else (path is None)
+    if kind is RelationKind.MUST and path and universe.successors_idx[path[-1]]:
+        # the path ends on a diverging pair, not a stuck one: exhibit the loop
+        diverging = frozenset(t for t in targets if universe.successors_idx[t])
+        path = path + _lasso_extension(universe, path[-1], diverging)
+    witness = None if path is None else tuple(universe.pairs[i] for i in path)
     return Verdict(kind, holds, witness)
 
 

@@ -115,6 +115,20 @@ def test_check_flag_overrides_env(capsys, corpus_file, monkeypatch):
     assert code == 0
 
 
+@pytest.mark.parametrize(
+    "client",
+    ["!a." * 600 + "0", "(" * 2000 + "0" + ")" * 2000],
+    ids=["deep-prefix-chain", "deep-parentheses"],
+)
+def test_check_too_deep_input_exits_two(capsys, tmp_path, client):
+    path = tmp_path / "deep.bc"
+    path.write_text(f"p = {client}\nq = rec Y.?a.Y\n")
+    code, _, err = run(capsys, "check", str(path), "p", str(path), "q", "--all")
+    assert code == 2
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 # -- matrix -------------------------------------------------------------------
 
 
@@ -203,9 +217,23 @@ def test_verify_propositions_drops_oversized_pairs(capsys, corpus_dir):
     )
     assert code == 0
     report = json.loads(out)
-    assert report["universe"]["pairs"] <= 8
-    assert report["universe"]["dropped"]
-    assert "dropped" in err
+    assert report["universe"]["pairs"] == 8
+    assert report["universe"]["roots"] == 5
+    assert report["universe"]["dropped"] == ["random1", "random2", "random3", "random4"]
+    assert err.count("note: dropped pair") == 4
+
+
+def test_verify_propositions_rolls_back_a_dropped_pair(capsys, corpus_dir):
+    # random1's closure overflows after adding two pairs; they are removed
+    # again, so the later pairs still fit
+    code, out, err = run(
+        capsys, "verify-propositions", corpus_dir, "--random", "5",
+        "--seed", "1", "--max-pairs", "10", "--json",
+    )
+    assert code == 0
+    report = json.loads(out)
+    assert report["universe"] == {"pairs": 10, "roots": 8, "dropped": ["random1"]}
+    assert err.count("note: dropped pair") == 1
 
 
 # -- dot -------------------------------------------------------------------------

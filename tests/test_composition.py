@@ -6,6 +6,7 @@ from bcc import (
     InvalidPairError,
     PairExplosionError,
     PairState,
+    PairUniverse,
     compile_term,
     inp,
     out,
@@ -145,6 +146,15 @@ def test_multi_root_universe_orders_roots_first(graphs):
     universe = composition.build_universe(roots)
     assert universe.pairs[:2] == tuple(roots)
     assert universe.roots == tuple(roots)
+
+
+def test_universe_record_must_be_tau_closed_and_hold_the_roots(graphs):
+    composition = comp(graphs, "p1", "q1")
+    root = root_of(graphs, "p1", "q1")
+    with pytest.raises(ValueError, match="not tau-closed"):
+        PairUniverse(composition, {root: composition.tau_successors(root)}, [root])
+    with pytest.raises(ValueError, match="not among"):
+        PairUniverse(composition, {PairState(0, 0): ()}, [root])
 
 
 @pytest.mark.parametrize("seed", range(60))

@@ -173,6 +173,15 @@ def test_restriction_agrees_with_per_root_checks(corpus_universe, kind):
         assert (ps in restriction) == verdict_at(corpus_universe, ps, kind).holds
 
 
+@pytest.mark.parametrize("seed", range(60))
+def test_restriction_agrees_with_per_root_checks_on_random_universes(seed):
+    universe = random_universe(seed)
+    for kind in RelationKind:
+        restriction = restrict(universe, kind)
+        for ps in universe:
+            assert (ps in restriction) == verdict_at(universe, ps, kind).holds
+
+
 def test_progress_restriction_covers_the_p2_q2_universe(graphs):
     universe = universe_of(graphs["p2"], graphs["q2"])
     assert restrict(universe, RelationKind.PROGRESS).indices == frozenset(

@@ -14,6 +14,7 @@ from bcc import (
     parse_term,
     compile_term,
 )
+from bcc.lts import attractor, reach
 from conftest import compiled_random_pair
 from oracles import diverges_brute, weak_barbs_brute
 
@@ -216,3 +217,33 @@ def test_merge_preserves_component_behaviour(graphs):
         assert merged.weak_barbs(init) == g.weak_barbs(g.initial)
         assert merged.may_diverge(init) == g.may_diverge(g.initial)
         assert merged.weak_reaches_zero(init) == g.weak_reaches_zero(g.initial)
+
+
+# -- graph kernels ------------------------------------------------------------------
+
+small_graphs = st.integers(1, 8).flatmap(
+    lambda n: st.lists(st.frozensets(st.integers(0, n - 1)), min_size=n, max_size=n)
+)
+
+
+@given(small_graphs, st.data())
+def test_kernels_match_their_definitions(succ_sets, data):
+    n = len(succ_sets)
+    succ = tuple(tuple(sorted(targets)) for targets in succ_sets)
+    pred = tuple(tuple(u for u in range(n) if v in succ[u]) for v in range(n))
+    nodes = st.frozensets(st.integers(0, n - 1))
+    seeds, sources, within = data.draw(nodes), data.draw(nodes), data.draw(nodes)
+
+    least = frozenset()  # Kleene iteration of the attractor's defining step
+    while True:
+        step = seeds | {u for u in range(n) if succ[u] and set(succ[u]) <= least}
+        if step == least:
+            break
+        least = step
+    assert attractor(succ, pred, seeds) == least
+
+    closure = set(sources & within)
+    for _ in range(n):  # every node reachable inside within is n - 1 steps away
+        closure |= {v for u in closure for v in succ[u] if v in within}
+    assert reach(succ, sources, within) == closure
+    assert reach(succ, sources) == reach(succ, sources, frozenset(range(n)))
