@@ -58,13 +58,19 @@ def _requested_kinds(args) -> tuple:
     return ALL_RELATIONS
 
 
+def _read_source(path) -> str:
+    """Text of a contract file; an unreadable or non-UTF-8 file is an error."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise BccError(f"cannot read {path}: {exc.strerror or exc}")
+    except UnicodeDecodeError as exc:
+        raise BccError(f"cannot read {path}: {exc}")
+
+
 def _parse_file(path: str, cache: dict) -> dict:
     if path not in cache:
-        try:
-            text = Path(path).read_text()
-        except OSError as exc:
-            raise BccError(f"cannot read {path}: {exc.strerror or exc}")
-        cache[path] = {d.name: d for d in parse(text)}
+        cache[path] = {d.name: d for d in parse(_read_source(path))}
     return cache[path]
 
 
@@ -119,12 +125,11 @@ def _witness_lines(verdicts) -> list:
 
 def _cmd_check(args) -> int:
     start = time.perf_counter()
-    max_pairs = args.max_pairs or _default_max_pairs()
     cache = {}
     client = _load_contract(args.client_file, args.client_name, args.max_states, cache)
     server = _load_contract(args.server_file, args.server_name, args.max_states, cache)
     kinds = _requested_kinds(args)
-    verdicts = evaluate(client, server, kinds, max_pairs=max_pairs)
+    verdicts = evaluate(client, server, kinds, max_pairs=args.max_pairs)
     elapsed = (time.perf_counter() - start) * 1000
 
     report = {
@@ -147,16 +152,17 @@ def _cmd_check(args) -> int:
 
 def _corpus_definitions(corpus_dir: str):
     """All definitions of the .bc files in a directory (names must be
-    globally unique) plus pN/qN-convention notes."""
+    globally unique) and the pN/qN pairs among them; notes on names
+    outside the pN/qN convention go to stderr."""
     directory = Path(corpus_dir)
     if not directory.is_dir():
         raise BccError(f"{corpus_dir} is not a directory")
     defs = {}
     origin = {}
-    notes = []
     for path in sorted(directory.glob("*.bc")):
+        text = _read_source(path)
         try:
-            file_defs = parse(path.read_text())
+            file_defs = parse(text)
         except BccError as exc:
             raise BccError(f"{path}: {exc}")
         for d in file_defs:
@@ -169,16 +175,18 @@ def _corpus_definitions(corpus_dir: str):
     for name in defs:
         m = _PAIR_NAME_RE.match(name)
         if not m:
-            notes.append(
+            print(
                 f"note: {origin[name]}: contract {name!r} does not follow "
-                "the pN/qN pairing convention"
+                "the pN/qN pairing convention",
+                file=sys.stderr,
             )
         else:
             partner = ("q" if m.group(1) == "p" else "p") + m.group(2)
             if partner not in defs:
-                notes.append(
+                print(
                     f"note: {origin[name]}: contract {name!r} has no partner "
-                    f"{partner!r}"
+                    f"{partner!r}",
+                    file=sys.stderr,
                 )
     numbers = sorted(
         {
@@ -190,15 +198,12 @@ def _corpus_definitions(corpus_dir: str):
         }
     )
     pair_names = [(f"p{n}", f"q{n}") for n in numbers]
-    return defs, pair_names, notes
+    return defs, pair_names
 
 
 def _cmd_matrix(args) -> int:
     start = time.perf_counter()
-    max_pairs = args.max_pairs or _default_max_pairs()
-    defs, pair_names, notes = _corpus_definitions(args.corpus_dir)
-    for note in notes:
-        print(note, file=sys.stderr)
+    defs, pair_names = _corpus_definitions(args.corpus_dir)
 
     entries = []
     human = []
@@ -208,7 +213,7 @@ def _cmd_matrix(args) -> int:
     for client_name, server_name in pair_names:
         client = compile_term(defs[client_name].term, args.max_states, name=client_name)
         server = compile_term(defs[server_name].term, args.max_states, name=server_name)
-        verdicts = evaluate(client, server, max_pairs=max_pairs)
+        verdicts = evaluate(client, server, max_pairs=args.max_pairs)
         entries.append(_pair_entry(client_name, server_name, verdicts))
         cells = "  ".join(
             f"{(HOLD_MARK if verdicts[k].holds else FAIL_MARK):>3}"
@@ -232,10 +237,7 @@ def _cmd_matrix(args) -> int:
 
 def _cmd_verify(args) -> int:
     start = time.perf_counter()
-    max_pairs = args.max_pairs or _default_max_pairs()
-    defs, pair_names, notes = _corpus_definitions(args.corpus_dir)
-    for note in notes:
-        print(note, file=sys.stderr)
+    defs, pair_names = _corpus_definitions(args.corpus_dir)
 
     labels = []
     client_graphs = []
@@ -277,7 +279,7 @@ def _cmd_verify(args) -> int:
     dropped = []
     for position, root in enumerate(roots):
         size = len(record)
-        if composition.explore(record, [root], max_pairs):
+        if composition.explore(record, [root], args.max_pairs):
             kept_roots[root] = None
         else:
             while len(record) > size:
@@ -288,7 +290,7 @@ def _cmd_verify(args) -> int:
     for position in dropped:
         print(
             f"note: dropped pair {labels[position]}: universe bound "
-            f"{max_pairs} exceeded",
+            f"{args.max_pairs} exceeded",
             file=sys.stderr,
         )
     universe = PairUniverse(composition, record, kept_roots)
@@ -343,13 +345,12 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_dot(args) -> int:
-    max_pairs = args.max_pairs or _default_max_pairs()
     cache = {}
     client = _load_contract(args.client_file, args.client_name, args.max_states, cache)
     server = _load_contract(args.server_file, args.server_name, args.max_states, cache)
     composition = Composition(client, server)
     root = PairState(client.initial, server.initial)
-    universe = composition.build_universe([root], max_pairs)
+    universe = composition.build_universe([root], args.max_pairs)
     try:
         Path(args.out_path).write_text(to_dot(universe))
     except OSError as exc:
@@ -437,6 +438,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        args.max_pairs = args.max_pairs or _default_max_pairs()
         return args.func(args)
     except BccError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .lang import Choice, Nil, Prefix, Rec, Term, Var
+from .lang import Choice, Nil, Prefix, Rec, Term, Var, Violation, well_formed
 from .lts import TAU, inp, out
 
 _MASK = (1 << 64) - 1
@@ -84,18 +84,6 @@ class GenConfig:
             )
 
 
-def _uses(t: Term, var: str) -> bool:
-    if isinstance(t, Var):
-        return t.name == var
-    if isinstance(t, Prefix):
-        return _uses(t.body, var)
-    if isinstance(t, Choice):
-        return _uses(t.left, var) or _uses(t.right, var)
-    if isinstance(t, Rec):
-        return t.var != var and _uses(t.body, var)
-    return False
-
-
 def random_contract(cfg: GenConfig) -> Term:
     """A closed, guarded term; a deterministic function of cfg."""
     rng = SplitMix64(cfg.seed)
@@ -121,7 +109,7 @@ def random_contract(cfg: GenConfig) -> Term:
             var = fresh_var()
             for _ in range(_REC_RETRIES):
                 body = gen(depth - 1, guarded, unguarded | {var})
-                if _uses(body, var):
+                if Violation("unbound-variable", var) in well_formed(body):
                     return Rec(var, body)
             # binder stayed unused; fall through to a plain prefix
         elif roll < cfg.rec_probability + cfg.choice_probability:

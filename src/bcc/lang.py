@@ -10,6 +10,10 @@ Grammar (one definition per line, '#' starts a comment):
 
 Prefix binds tighter than "+"; "rec" extends to the right as far as
 possible.  "tau" and "rec" are reserved words.
+
+Compilation interns terms into a table local to each call: a row
+(constructor, label | variable | name, child ids) per distinct term, so each
+unfolding is hashed once and equal terms share one integer id.
 """
 
 from __future__ import annotations
@@ -17,6 +21,8 @@ from __future__ import annotations
 import re
 from collections import deque
 from dataclasses import dataclass
+from functools import cache
+from itertools import repeat
 
 from .errors import (
     DuplicateNameError,
@@ -124,10 +130,6 @@ class _TermParser:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
-
-    def fail(self, message, tok=None):
-        kind, text, line, col = tok or self.peek()
-        raise ParseError(message, line, col)
 
     def expect_punct(self, ch):
         kind, text, line, col = self.advance()
@@ -284,43 +286,6 @@ def well_formed(t: Term) -> list:
 # -- compilation ---------------------------------------------------------
 
 
-def _subst(t: Term, var: str, value: Term) -> Term:
-    if isinstance(t, Var):
-        return value if t.name == var else t
-    if isinstance(t, Prefix):
-        return Prefix(t.label, _subst(t.body, var, value))
-    if isinstance(t, Choice):
-        return Choice(_subst(t.left, var, value), _subst(t.right, var, value))
-    if isinstance(t, Rec):
-        if t.var == var:  # shadowed
-            return t
-        return Rec(t.var, _subst(t.body, var, value))
-    return t
-
-
-def _transitions(t: Term, memo: dict) -> tuple:
-    """Initial (label, target-term) moves of a closed guarded term,
-    deduplicated and ordered by label."""
-    cached = memo.get(t)
-    if cached is not None:
-        return cached
-    if isinstance(t, Nil):
-        moves = ()
-    elif isinstance(t, Prefix):
-        moves = ((t.label, t.body),)
-    elif isinstance(t, Choice):
-        seen = dict.fromkeys(
-            _transitions(t.left, memo) + _transitions(t.right, memo)
-        )
-        moves = tuple(sorted(seen, key=lambda m: m[0]))
-    elif isinstance(t, Rec):
-        moves = _transitions(_subst(t.body, t.var, t), memo)
-    else:
-        raise ValueError(f"cannot take transitions of open term {t!r}")
-    memo[t] = moves
-    return moves
-
-
 def compile_term(
     term: Term, max_states: int = DEFAULT_MAX_STATES, *, name: str = ""
 ) -> ContractGraph:
@@ -334,18 +299,58 @@ def compile_term(
     violations = well_formed(term)
     if violations:
         raise IllFormedError(violations)
-    memo = {}
-    nil = Nil()
+    # the term table of this call: row (class, label | var | name, *child
+    # ids) <-> int id, so equal terms share one id and compare as ints
+    rows = []
+    ids = {}
 
-    def key(t):
-        return nil if not _transitions(t, memo) else t
+    def row(*r):
+        if r not in ids:
+            ids[r] = len(rows)
+            rows.append(r)
+        return ids[r]
 
-    root = key(term)
+    def intern(t):
+        if isinstance(t, Prefix):
+            return row(Prefix, t.label, intern(t.body))
+        if isinstance(t, Choice):
+            return row(Choice, None, intern(t.left), intern(t.right))
+        if isinstance(t, Rec):
+            return row(Rec, t.var, intern(t.body))
+        return nil if isinstance(t, Nil) else row(Var, t.name)
+
+    @cache
+    def subst(u, rec):
+        """Row u with the variable bound by Rec row ``rec`` replaced by it."""
+        cls, data, *kids = rows[u]
+        if cls is Var and data == rows[rec][1]:
+            return rec
+        if cls in (Nil, Var) or (cls is Rec and data == rows[rec][1]):
+            return u  # no variable to replace, or shadowed
+        return row(cls, data, *map(subst, kids, repeat(rec)))
+
+    @cache
+    def transitions(u):
+        """Initial (label, target id) moves, deduplicated, ordered by label."""
+        cls, data, *kids = rows[u]
+        if cls is Prefix:
+            return ((data, kids[0]),)
+        if cls is Choice:
+            seen = dict.fromkeys(transitions(kids[0]) + transitions(kids[1]))
+            return tuple(sorted(seen, key=lambda m: m[0]))
+        if cls is Rec:
+            return transitions(subst(kids[0], u))
+        return ()
+
+    def key(u):
+        return nil if not transitions(u) else u
+
+    nil = row(Nil, None)
+    root = key(intern(term))
     discovered = {root: None}
     queue = deque([root])
     while queue:
-        u = queue.popleft()
-        for _, v in _transitions(u, memo):
+        for _, v in transitions(queue.popleft()):
             v = key(v)
             if v not in discovered:
                 if len(discovered) >= max_states:
@@ -356,23 +361,16 @@ def compile_term(
                 discovered[v] = None
                 queue.append(v)
 
-    has_nil = nil in discovered
-    ids = {}
-    if has_nil:
-        ids[nil] = 0
-    next_id = 1 if has_nil else 0
-    for u in discovered:
-        if u == nil:
-            continue
-        ids[u] = next_id
-        next_id += 1
-
-    edges = []
-    for u in discovered:
-        for lab, v in _transitions(u, memo):
-            edges.append((ids[u], lab, ids[key(v)]))
+    # the terminal row first, then discovery order (the sort is stable)
+    order = sorted(discovered, key=lambda u: u != nil)
+    number = {u: i for i, u in enumerate(order)}
+    edges = [
+        (number[u], lab, number[key(v)])
+        for u in discovered
+        for lab, v in transitions(u)
+    ]
     return ContractGraph(
-        next_id, ids[root], edges, 0 if has_nil else None, name=name
+        len(number), number[root], edges, 0 if nil in number else None, name=name
     )
 
 

@@ -5,9 +5,28 @@ inline from the three rules, and each relation is decided by exhaustive
 tau-path exploration with cycle detection.  None of the library's cached
 closure tables, backward-reachability sets, or fixed-point machinery is
 used, so agreement with the library is meaningful.
+
+``reference_compile`` is the compiler by plain Term substitution, with the
+frozen dataclasses' own structural hashing merging equal unfoldings; the
+library's table of interned integer rows must produce the same graphs.
 """
 
-from bcc import INPUT, OUTPUT, TAU, PairState
+from collections import deque
+
+from bcc import (
+    INPUT,
+    OUTPUT,
+    TAU,
+    Choice,
+    ContractGraph,
+    Nil,
+    PairState,
+    Prefix,
+    Rec,
+    StateExplosionError,
+    Var,
+)
+from bcc.lang import DEFAULT_MAX_STATES
 
 
 def edge_targets(graph, state, label):
@@ -252,3 +271,83 @@ def witness_violates(client, server, code, path):
         second = not (not c_out and c_in) or (bool(s_out) and s_out <= c_in)
         return not (first and second)
     raise ValueError(code)
+
+
+# -- reference compiler ------------------------------------------------------
+
+
+def _subst(t, var, value):
+    if isinstance(t, Var):
+        return value if t.name == var else t
+    if isinstance(t, Prefix):
+        return Prefix(t.label, _subst(t.body, var, value))
+    if isinstance(t, Choice):
+        return Choice(_subst(t.left, var, value), _subst(t.right, var, value))
+    if isinstance(t, Rec):
+        if t.var == var:  # shadowed
+            return t
+        return Rec(t.var, _subst(t.body, var, value))
+    return t
+
+
+def _transitions(t, memo):
+    """Initial (label, target-term) moves of a closed guarded term,
+    deduplicated and ordered by label."""
+    cached = memo.get(t)
+    if cached is not None:
+        return cached
+    if isinstance(t, Nil):
+        moves = ()
+    elif isinstance(t, Prefix):
+        moves = ((t.label, t.body),)
+    elif isinstance(t, Choice):
+        seen = dict.fromkeys(
+            _transitions(t.left, memo) + _transitions(t.right, memo)
+        )
+        moves = tuple(sorted(seen, key=lambda m: m[0]))
+    elif isinstance(t, Rec):
+        moves = _transitions(_subst(t.body, t.var, t), memo)
+    else:
+        raise ValueError(f"cannot take transitions of open term {t!r}")
+    memo[t] = moves
+    return moves
+
+
+def reference_compile(term, max_states=DEFAULT_MAX_STATES):
+    """compile_term by Term substitution and structural term hashing, for a
+    closed guarded term: BFS over unfoldings, terminal state first."""
+    memo = {}
+    nil = Nil()
+
+    def key(t):
+        return nil if not _transitions(t, memo) else t
+
+    root = key(term)
+    discovered = {root: None}
+    queue = deque([root])
+    while queue:
+        u = queue.popleft()
+        for _, v in _transitions(u, memo):
+            v = key(v)
+            if v not in discovered:
+                if len(discovered) >= max_states:
+                    raise StateExplosionError(f"more than {max_states} states")
+                discovered[v] = None
+                queue.append(v)
+
+    has_nil = nil in discovered
+    ids = {}
+    if has_nil:
+        ids[nil] = 0
+    next_id = 1 if has_nil else 0
+    for u in discovered:
+        if u == nil:
+            continue
+        ids[u] = next_id
+        next_id += 1
+
+    edges = []
+    for u in discovered:
+        for lab, v in _transitions(u, memo):
+            edges.append((ids[u], lab, ids[key(v)]))
+    return ContractGraph(next_id, ids[root], edges, 0 if has_nil else None)

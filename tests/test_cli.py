@@ -1,6 +1,12 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from bcc.cli import main
 from bcc.corpus import EXAMPLES_SOURCE
@@ -117,7 +123,7 @@ def test_check_flag_overrides_env(capsys, corpus_file, monkeypatch):
 
 @pytest.mark.parametrize(
     "client",
-    ["!a." * 600 + "0", "(" * 2000 + "0" + ")" * 2000],
+    ["!a." * 5000 + "0", "(" * 2000 + "0" + ")" * 2000],
     ids=["deep-prefix-chain", "deep-parentheses"],
 )
 def test_check_too_deep_input_exits_two(capsys, tmp_path, client):
@@ -126,6 +132,65 @@ def test_check_too_deep_input_exits_two(capsys, tmp_path, client):
     code, _, err = run(capsys, "check", str(path), "p", str(path), "q", "--all")
     assert code == 2
     assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("length", [600, 900])
+def test_check_long_prefix_chain(capsys, tmp_path, length):
+    path = tmp_path / "chain.bc"
+    path.write_text(f"p = {'!a.' * length}0\nq = rec Y.?a.Y\n")
+    code, out, _ = run(
+        capsys, "check", str(path), "p", str(path), "q", "--all", "--json"
+    )
+    assert code == 0
+    (entry,) = json.loads(out)["pairs"]
+    assert entry["verdicts"] == dict.fromkeys(
+        ["pg", "mst", "shd", "beh", "io", "may"], True
+    )
+
+
+LATIN_1_SOURCE = "# caf\xe9\np1 = !a.0\nq1 = ?a.0\n".encode("latin-1")
+
+
+def test_check_non_utf8_file_exits_two(capsys, tmp_path):
+    path = tmp_path / "latin.bc"
+    path.write_bytes(LATIN_1_SOURCE)
+    code, _, err = run(capsys, "check", str(path), "p1", str(path), "q1")
+    assert code == 2
+    assert err.startswith(f"error: cannot read {path}: ")
+    assert "Traceback" not in err
+
+
+def run_quietly(argv):
+    """main(argv) with its output captured; an escaping exception fails the
+    calling test."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+# source text near the contract language, so that most files reach the
+# parser and some the compiler; encoded as UTF-8 and as Latin-1
+TOKENS = ["p", "q", " = ", "0", "X", "?a.", "!a.", "tau.", "rec X.", "+", "(", ")"]
+near_source = st.lists(
+    st.sampled_from(TOKENS + ["\n", "#", "\t", "é", "\x00"]), max_size=30
+).map("".join)
+file_bytes = st.one_of(
+    st.binary(max_size=60),
+    near_source.map(str.encode),
+    near_source.map(lambda text: text.encode("latin-1")),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(file_bytes)
+def test_check_survives_arbitrary_file_bytes(data):
+    with tempfile.TemporaryDirectory() as directory:
+        path = str(Path(directory) / "f.bc")
+        Path(path).write_bytes(data)
+        code, _, err = run_quietly(["check", path, "p", path, "q"])
+    assert code in (0, 1, 2)
     assert "Traceback" not in err
 
 
@@ -169,6 +234,14 @@ def test_matrix_reports_convention_violations(capsys, tmp_path):
     assert code == 0  # the conforming p1/q1 row holds everywhere
     assert "p1" in out and "p9" not in out
     assert "helper" in err and "p9" in err
+
+
+def test_matrix_non_utf8_file_exits_two(capsys, tmp_path):
+    (tmp_path / "latin.bc").write_bytes(LATIN_1_SOURCE)
+    code, _, err = run(capsys, "matrix", str(tmp_path))
+    assert code == 2
+    assert err.startswith(f"error: cannot read {tmp_path / 'latin.bc'}: ")
+    assert "Traceback" not in err
 
 
 # -- verify-propositions --------------------------------------------------------

@@ -1,6 +1,6 @@
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 
 from bcc import (
     TAU,
@@ -24,6 +24,7 @@ from bcc import (
     well_formed,
 )
 from bcc.generator import GenConfig, random_contract
+from oracles import reference_compile
 
 
 def test_parse_choice_of_prefixes():
@@ -225,3 +226,56 @@ def test_roundtrip_on_arbitrary_asts(term):
 def test_roundtrip_on_generated_contracts(seed):
     term = random_contract(GenConfig(seed=seed))
     assert parse_term(pretty(term)) == term
+
+
+# -- the compiler against the reference compiler ------------------------------
+
+
+def compiled_or_bound(compile, term):
+    try:
+        return compile(term)
+    except StateExplosionError:
+        return "state bound exceeded"
+
+
+@pytest.mark.parametrize("max_depth", [6, 9])
+def test_compile_matches_reference_on_generated_contracts(max_depth):
+    for seed in range(300):
+        term = random_contract(GenConfig(seed=seed, max_depth=max_depth))
+        assert compiled_or_bound(compile_term, term) == compiled_or_bound(
+            reference_compile, term
+        ), pretty(term)
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "rec X.!a.rec X.!b.X",  # the inner binder shadows the outer one
+        "!a.!b.0 + !c.!b.0",  # both branches unfold to the same state
+        "rec X.(tau.X + rec Y.(!a.X + ?b.Y))",
+        "tau.(0 + 0) + tau.0",
+    ],
+)
+def test_compile_matches_reference_on_tricky_shapes(source):
+    term = parse_term(source)
+    assert compile_term(term) == reference_compile(term)
+
+
+@settings(max_examples=200)
+@given(terms.filter(lambda t: well_formed(t) == []))
+def test_compile_matches_reference_on_arbitrary_asts(term):
+    assert compiled_or_bound(compile_term, term) == compiled_or_bound(
+        reference_compile, term
+    )
+
+
+def test_compile_hashes_no_term(monkeypatch):
+    defs = corpus.example_definitions()
+    expected = [reference_compile(d.term) for d in defs]
+
+    def refuse(self):
+        raise AssertionError(f"hashed the term {self!r}")
+
+    for cls in (Nil, Prefix, Choice, Rec, Var):
+        monkeypatch.setattr(cls, "__hash__", refuse)
+    assert [compile_term(d.term, name=d.name) for d in defs] == expected
