@@ -1,0 +1,89 @@
+#!/usr/bin/env python3
+"""One sha256 over the reports of a fixed list of bcc commands.
+
+    python3 scripts/report_digest.py
+
+Runs each command in-process through ``bcc.cli.main`` (the ``src`` tree next
+to this script) and hashes its argv, exit code, stdout and stderr.  Two
+source trees that print the same digest produced byte-identical reports,
+errors and exit codes on every command, so a change meant to keep behaviour
+can be checked by running this script on both.
+
+The commands run inside a temporary directory holding a copy of
+``corpus/`` and generated tau-grid and chain pairs, all named by relative
+paths, so the digest does not depend on where the tree is checked out.
+"""
+
+import contextlib
+import hashlib
+import io
+import os
+import shutil
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from bcc.cli import main  # noqa: E402
+
+# (file name, client, server): client tau^n.!a.0 against a server with m
+# leading taus that accepts (ok), refuses (stuck) or may loop back (loop),
+# and chains of n outputs against rec Y.?a.Y.
+GENERATED = {
+    "ok_3_4.bc": ("tau.tau.tau.!a.0", "tau.tau.tau.tau.?a.0"),
+    "ok_12_7.bc": ("tau." * 12 + "!a.0", "tau." * 7 + "?a.0"),
+    "stuck_5_2.bc": ("tau." * 5 + "!a.0", "tau.tau.?b.0"),
+    "stuck_9_11.bc": ("tau." * 9 + "!a.0", "tau." * 11 + "?b.0"),
+    "loop_2_3.bc": ("tau.tau.!a.0", "rec Y.tau.tau.tau.(?a.0 + tau.Y)"),
+    "loop_10_6.bc": ("tau." * 10 + "!a.0", "rec Y." + "tau." * 6 + "(?a.0 + tau.Y)"),
+    "chain_1.bc": ("!a.0", "rec Y.?a.Y"),
+    "chain_60.bc": ("!a." * 60 + "0", "rec Y.?a.Y"),
+    "sync_both_ways.bc": ("!a.0 + ?a.0", "?a.0 + !a.0"),
+}
+
+
+def commands() -> list:
+    cmds = []
+    for n in range(1, 5):
+        pair = ["corpus/examples.bc", f"p{n}", "corpus/examples.bc", f"q{n}"]
+        cmds.append(["check", *pair, "--all", "--json"])
+        cmds.append(["check", *pair, "--relation", "mst", "--relation", "io", "--json"])
+    cmds.append(["matrix", "corpus", "--json"])
+    verify = ["verify-propositions", "corpus", "--seed", "1", "--json", "--random"]
+    for extra in (["500"], ["2000"], ["2000", "--max-pairs", "100000"]):
+        cmds.append(verify + extra)
+    for name in GENERATED:
+        cmds.append(["check", name, "p", name, "q", "--all", "--json"])
+    return cmds
+
+
+def run(argv) -> tuple:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def digest() -> str:
+    sha = hashlib.sha256()
+    for argv in commands():
+        code, out, err = run(argv)
+        for part in ("\0".join(argv), str(code), out, err):
+            sha.update(part.encode("utf-8"))
+            sha.update(b"\0\1")
+    return sha.hexdigest()
+
+
+if __name__ == "__main__":
+    start = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        shutil.copytree(ROOT / "corpus", Path(tmp) / "corpus")
+        for name, (client, server) in GENERATED.items():
+            (Path(tmp) / name).write_text(f"p = {client}\nq = {server}\n")
+        os.chdir(tmp)
+        try:
+            print(digest())
+        finally:
+            os.chdir(start)

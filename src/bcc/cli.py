@@ -438,7 +438,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args.max_pairs = args.max_pairs or _default_max_pairs()
+        bounds = {"--max-states": args.max_states, "--max-pairs": args.max_pairs}
+        for flag, value in bounds.items():
+            if value is not None and value < 1:
+                raise BccError(f"{flag} must be positive, got {value}")
+        if args.max_pairs is None:
+            args.max_pairs = _default_max_pairs()
         return args.func(args)
     except BccError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -4,6 +4,11 @@ A composition pair moves by three rules: either side fires one of its own
 edges (label kept), or the two sides synchronise on dual visible actions,
 which the composition observes as a single tau-step.  A pair is successful
 when its client component is the client graph's success state.
+
+Pairs are validated at the public entry points (``tau_successors``,
+``compose_step``, ``is_successful``, the roots given to ``explore`` and
+``build_universe``).  The universe BFS then reads the graphs' edge tables
+directly: every pair it meets was produced from a valid one.
 """
 
 from __future__ import annotations
@@ -56,16 +61,20 @@ class Composition:
     def tau_successors(self, ps: PairState) -> tuple:
         """Targets of the pair's tau-moves (own taus plus synchronisations)."""
         self._check(ps)
-        c, s = ps
-        targets = set()
-        for t in self.client.successors(c, TAU):
-            targets.add(PairState(t, s))
-        for t in self.server.successors(s, TAU):
-            targets.add(PairState(c, t))
-        for lab, c2 in self.client.out_edges(c):
-            if lab.is_visible:
-                for s2 in self.server.successors(s, lab.dual()):
-                    targets.add(PairState(c2, s2))
+        return self._tau_targets(*ps)
+
+    def _tau_targets(self, c: int, s: int) -> tuple:
+        # unchecked: c and s must be states of the client and server graphs
+        targets = {PairState(t, s) for t in self.client._tau_adj[c]}
+        targets.update(PairState(c, t) for t in self.server._tau_adj[s])
+        server_out = self.server._out[s]
+        for lab, c2 in self.client._out[c]:
+            if lab.kind:
+                # a visible action meets its dual: same name, other kind
+                dual, name = 3 - lab.kind, lab.name
+                for slab, s2 in server_out:
+                    if slab.kind == dual and slab.name == name:
+                        targets.add(PairState(c2, s2))
         return tuple(sorted(targets))
 
     def is_successful(self, ps: PairState) -> bool:
@@ -83,7 +92,11 @@ class Composition:
         successors in BFS order; ties among a pair's successors break by
         (client id, server id).  Returns False, with the record partly
         extended, when the record would grow past ``max_pairs`` pairs.
+        Every root is validated before the record changes.
         """
+        roots = tuple(roots)
+        for r in roots:
+            self._check(r)
         queue = deque()
         for r in roots:
             if r not in record:
@@ -93,7 +106,7 @@ class Composition:
                 queue.append(r)
         while queue:
             ps = queue.popleft()
-            targets = record[ps] = self.tau_successors(ps)
+            targets = record[ps] = self._tau_targets(*ps)
             for t in targets:
                 if t not in record:
                     if len(record) >= max_pairs:
@@ -108,8 +121,6 @@ class Composition:
         """Least tau-successor-closed superset of the roots, numbered as
         ``explore`` discovers the pairs."""
         roots = tuple(dict.fromkeys(PairState(*r) for r in roots))
-        for r in roots:
-            self._check(r)
         record = {}
         if not self.explore(record, roots, max_pairs):
             raise PairExplosionError(f"more than {max_pairs} pairs in universe")
@@ -127,20 +138,21 @@ class PairUniverse:
         self.composition = composition
         self.pairs = tuple(record)
         self.roots = tuple(roots)
-        self._index = {ps: i for i, ps in enumerate(self.pairs)}
+        self._index = index = {ps: i for i, ps in enumerate(self.pairs)}
         for r in self.roots:
-            if r not in self._index:
+            if r not in index:
                 raise ValueError(f"root {r!r} not among the universe pairs")
 
-        successors = []
-        for ps, targets in record.items():
-            for t in targets:
-                if t not in self._index:
-                    raise ValueError(
-                        f"universe is not tau-closed: {ps!r} -> {t!r}"
-                    )
-            successors.append(tuple(self._index[t] for t in targets))
-        self.successors_idx = tuple(successors)
+        try:
+            self.successors_idx = tuple(
+                [tuple([index[t] for t in targets]) for targets in record.values()]
+            )
+        except KeyError:
+            ps, t = next(
+                (ps, t) for ps, targets in record.items() for t in targets
+                if t not in index
+            )
+            raise ValueError(f"universe is not tau-closed: {ps!r} -> {t!r}") from None
 
         preds = [[] for _ in self.pairs]
         for i, targets in enumerate(self.successors_idx):
@@ -148,8 +160,9 @@ class PairUniverse:
                 preds[t].append(i)
         self.predecessors_idx = tuple(tuple(p) for p in preds)
 
+        zero = composition.client.zero
         self.successful_indices = frozenset(
-            i for i, ps in enumerate(self.pairs) if composition.is_successful(ps)
+            i for i, ps in enumerate(self.pairs) if ps.client == zero
         )
 
     @property

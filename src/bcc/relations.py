@@ -3,10 +3,18 @@
 Each relation is decided over the tau-closed universe of the composition as
 one reachability question: which pairs can reach the relation's target set
 (its violations; for may-testing, success).  The same search decides a
-single root and yields its witness.  The deciders share only the generic
-graph kernels of ``lts`` with the fixed points, never the compliance
-functional, so they stay independent of the fixed-point machinery that the
-test suite checks them against.
+single root and yields its witness.  All relations requested for one root
+share its stuck set and its BFS, which runs at most twice: over the whole
+universe, and inside the unsuccessful pairs (Must).
+
+Validation happens at the public entry points: ``evaluate`` builds its
+universe from valid graphs and ``verdict_at`` looks its root up.  The set
+evaluators and searches then read the universe's index tables and the
+graphs' precomputed tables directly.
+
+The deciders share only the generic graph kernels of ``lts`` with the fixed
+points, never the compliance functional, so they stay independent of the
+fixed-point machinery that the test suite checks them against.
 """
 
 from __future__ import annotations
@@ -50,31 +58,31 @@ class Verdict:
 # -- per-universe set evaluators ------------------------------------------
 
 
-def _progress_violations(universe: PairUniverse) -> frozenset:
+def _stuck_indices(universe: PairUniverse) -> frozenset:
     return frozenset(
-        i
-        for i in range(len(universe))
-        if universe.is_stuck_index(i) and not universe.is_successful_index(i)
+        i for i, targets in enumerate(universe.successors_idx) if not targets
     )
 
 
-def _beh_violations(universe: PairUniverse) -> frozenset:
+def _beh_violations(universe: PairUniverse, progress: frozenset) -> frozenset:
     client = universe.client_graph
-    server = universe.server_graph
-    return _progress_violations(universe) | frozenset(
+    zero = client.zero
+    closure = client._closure
+    diverging = universe.server_graph._diverging
+    return progress | frozenset(
         i
         for i, (c, s) in enumerate(universe.pairs)
-        if server.may_diverge(s) and not client.weak_reaches_zero(c)
+        if s in diverging and (zero is None or zero not in closure[c])
     )
 
 
 def _io_violations(universe: PairUniverse) -> frozenset:
-    client = universe.client_graph
-    server = universe.server_graph
+    client_weak = universe.client_graph._weak
+    server_weak = universe.server_graph._weak
     bad = set()
     for i, (c, s) in enumerate(universe.pairs):
-        cw = client.weak_barbs(c)
-        sw = server.weak_barbs(s)
+        cw = client_weak[c]
+        sw = server_weak[s]
         ok = cw.outputs <= sw.inputs and (
             not (not cw.outputs and cw.inputs)
             or (bool(sw.outputs) and sw.outputs <= cw.inputs)
@@ -84,74 +92,79 @@ def _io_violations(universe: PairUniverse) -> frozenset:
     return frozenset(bad)
 
 
-def _targets(universe: PairUniverse, kind: RelationKind) -> tuple:
-    """The relation's search: ``(targets, within)``.  The relation holds at
-    a pair iff no target is tau-reachable from it along a path inside
-    ``within`` (None: anywhere); may-testing holds iff one is."""
-    everything = frozenset(range(len(universe)))
+def _targets(universe: PairUniverse, kind: RelationKind, stuck: frozenset) -> tuple:
+    """The relation's search: ``(targets, unsuccessful_only)``.  The
+    relation holds at a pair iff no target is tau-reachable from it (along
+    unsuccessful pairs only, when the flag is set); may-testing holds iff
+    one is.  ``stuck`` is the universe's set of pairs without tau-moves."""
     successful = universe.successful_indices
     if kind is RelationKind.PROGRESS:
-        return _progress_violations(universe), None
+        return stuck - successful, False
     if kind is RelationKind.MAY:
-        return successful, None
+        return successful, False
     if kind is RelationKind.SHOULD:
-        return everything - reach(universe.predecessors_idx, successful), None
+        everything = frozenset(range(len(universe)))
+        return everything - reach(universe.predecessors_idx, successful), False
     if kind is RelationKind.BEH:
-        return _beh_violations(universe), None
+        return _beh_violations(universe, stuck - successful), False
     if kind is RelationKind.IO:
-        return _io_violations(universe), None
+        return _io_violations(universe), False
     if kind is RelationKind.MUST:
         # stuck, or starting an infinite tau-path that avoids success
-        stuck = frozenset(i for i in everything if universe.is_stuck_index(i))
+        everything = frozenset(range(len(universe)))
         diverging = everything - attractor(
             universe.successors_idx, universe.predecessors_idx, successful | stuck
         )
-        return stuck | diverging, everything - successful
+        return stuck | diverging, True
     raise ValueError(f"unknown relation kind: {kind!r}")
 
 
 def holding_indices(universe: PairUniverse, kind: RelationKind) -> frozenset:
     """Indices of the pairs at which the relation holds, each judged over
     the sub-universe reachable from that pair."""
-    targets, within = _targets(universe, kind)
+    targets, unsuccessful_only = _targets(universe, kind, _stuck_indices(universe))
+    everything = frozenset(range(len(universe)))
+    within = everything - universe.successful_indices if unsuccessful_only else None
     reaching = reach(universe.predecessors_idx, targets, within)
     if kind is RelationKind.MAY:
         return reaching
-    return frozenset(range(len(universe))) - reaching
+    return everything - reaching
 
 
 # -- per-root verdicts and witnesses ---------------------------------------
 
 
-def _shortest_path(universe, source: int, targets, within=None):
-    """Shortest tau-path (as indices) from source to the nearest target;
-    distance ties break by pair numbering at the target and along the path."""
-    allowed = None if within is None else frozenset(within)
-    if allowed is not None and source not in allowed:
-        return None
-    dist = {source: 0}
+def _distances(universe, source: int, avoid) -> list:
+    """BFS distance of every pair from source (-1: unreached), along paths
+    that visit no pair of ``avoid``."""
+    dist = [-1] * len(universe)
+    if source in avoid:
+        return dist
+    dist[source] = 0
     queue = deque([source])
+    successors = universe.successors_idx
     while queue:
         u = queue.popleft()
-        for v in universe.successors_idx[u]:
-            if v not in dist and (allowed is None or v in allowed):
-                dist[v] = dist[u] + 1
+        step = dist[u] + 1
+        for v in successors[u]:
+            if dist[v] < 0 and v not in avoid:
+                dist[v] = step
                 queue.append(v)
-    reached = [t for t in targets if t in dist]
+    return dist
+
+
+def _shortest_path(universe, dist: list, targets):
+    """Shortest tau-path (as indices) from the source of ``dist`` to the
+    nearest target; distance ties break by pair numbering at the target and
+    along the path."""
+    reached = [(dist[t], t) for t in targets if dist[t] >= 0]
     if not reached:
         return None
-    goal = min(reached, key=lambda t: (dist[t], t))
-    path = [goal]
-    while path[-1] != source:
+    path = [min(reached)[1]]
+    while dist[path[-1]]:
         here = path[-1]
-        prev = min(
-            p
-            for p in universe.predecessors_idx[here]
-            if p in dist
-            and dist[p] == dist[here] - 1
-            and (allowed is None or p in allowed)
-        )
-        path.append(prev)
+        back = dist[here] - 1
+        path.append(min(p for p in universe.predecessors_idx[here] if dist[p] == back))
     path.reverse()
     return path
 
@@ -171,19 +184,32 @@ def _lasso_extension(universe, start: int, pool) -> list:
         positions.add(nxt)
 
 
+def _verdicts(universe: PairUniverse, root_idx: int, kinds) -> dict:
+    """Decide the relations of ``kinds`` at one root.  The stuck set is
+    computed once, and the BFS from the root runs at most once per search
+    region: everywhere, and inside the unsuccessful pairs (Must)."""
+    stuck = _stuck_indices(universe)
+    regions = {}
+    verdicts = {}
+    for kind in kinds:
+        targets, unsuccessful_only = _targets(universe, kind, stuck)
+        if unsuccessful_only not in regions:
+            avoid = universe.successful_indices if unsuccessful_only else ()
+            regions[unsuccessful_only] = _distances(universe, root_idx, avoid)
+        path = _shortest_path(universe, regions[unsuccessful_only], targets)
+        holds = (path is not None) if kind is RelationKind.MAY else (path is None)
+        if kind is RelationKind.MUST and path and path[-1] not in stuck:
+            # the path ends on a diverging pair, not a stuck one: exhibit the loop
+            path = path + _lasso_extension(universe, path[-1], targets - stuck)
+        witness = None if path is None else tuple(universe.pairs[i] for i in path)
+        verdicts[kind] = Verdict(kind, holds, witness)
+    return verdicts
+
+
 def verdict_at(universe: PairUniverse, root: PairState, kind: RelationKind) -> Verdict:
     """Decide one relation for the contracts rooted at ``root`` inside an
     existing universe."""
-    root_idx = universe.index_of(root)
-    targets, within = _targets(universe, kind)
-    path = _shortest_path(universe, root_idx, targets, within)
-    holds = (path is not None) if kind is RelationKind.MAY else (path is None)
-    if kind is RelationKind.MUST and path and universe.successors_idx[path[-1]]:
-        # the path ends on a diverging pair, not a stuck one: exhibit the loop
-        diverging = frozenset(t for t in targets if universe.successors_idx[t])
-        path = path + _lasso_extension(universe, path[-1], diverging)
-    witness = None if path is None else tuple(universe.pairs[i] for i in path)
-    return Verdict(kind, holds, witness)
+    return _verdicts(universe, universe.index_of(root), (kind,))[kind]
 
 
 # -- contract-level entry points -------------------------------------------
@@ -197,12 +223,12 @@ def evaluate(
     max_pairs: int = DEFAULT_MAX_PAIRS,
 ) -> dict:
     """Decide the requested relations (all six by default) for one
-    client/server pair, sharing a single universe."""
+    client/server pair, sharing a single universe and its root search."""
     kinds = ALL_RELATIONS if kinds is None else tuple(kinds)
     composition = Composition(client, server)
     root = PairState(client.initial, server.initial)
     universe = composition.build_universe([root], max_pairs)
-    return {kind: verdict_at(universe, root, kind) for kind in kinds}
+    return _verdicts(universe, universe.index_of(root), kinds)
 
 
 def _single(client, server, kind, max_pairs):

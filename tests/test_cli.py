@@ -121,6 +121,17 @@ def test_check_flag_overrides_env(capsys, corpus_file, monkeypatch):
     assert code == 0
 
 
+@pytest.mark.parametrize("flag", ["--max-pairs", "--max-states"])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_check_rejects_non_positive_bounds(capsys, corpus_file, flag, value):
+    code, out, err = run(
+        capsys, "check", corpus_file, "p1", corpus_file, "q1", flag, value
+    )
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {flag} must be positive, got {value}\n"
+
+
 @pytest.mark.parametrize(
     "client",
     ["!a." * 5000 + "0", "(" * 2000 + "0" + ")" * 2000],

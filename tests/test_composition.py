@@ -9,8 +9,10 @@ from bcc import (
     PairUniverse,
     compile_term,
     inp,
+    merge_graphs,
     out,
     parse_term,
+    random_pairs,
     to_dot,
 )
 from conftest import compiled_random_pair, universe_of
@@ -72,6 +74,17 @@ def test_compose_step_matches_rule_rederivation(seed):
         assert set(composition.tau_successors(ps)) == pair_tau_successors(
             client, server, ps
         )
+
+
+def test_invalid_roots_rejected_before_the_record_changes(graphs):
+    composition = comp(graphs, "p1", "q1")
+    root = root_of(graphs, "p1", "q1")
+    with pytest.raises(InvalidPairError):
+        composition.build_universe([root, PairState(9, 0)])
+    record = {}
+    with pytest.raises(InvalidPairError):
+        composition.explore(record, [root, PairState(0, 9)], max_pairs=10)
+    assert record == {}
 
 
 # -- tau_successors -----------------------------------------------------------
@@ -165,6 +178,50 @@ def test_universe_is_tau_closed(seed):
     for ps in universe:
         for t in composition.tau_successors(ps):
             assert t in universe
+
+
+def assert_universe_successors_match_oracle(universe):
+    """The universe BFS reads the graph tables without validating; its
+    successor lists must still follow the three composition rules."""
+    client, server = universe.client_graph, universe.server_graph
+    for i, ps in enumerate(universe.pairs):
+        assert [universe.pairs[j] for j in universe.successors_idx[i]] == sorted(
+            pair_tau_successors(client, server, ps)
+        )
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_universe_successors_match_oracle_on_random_pairs(seed):
+    assert_universe_successors_match_oracle(universe_of(*compiled_random_pair(seed)))
+
+
+def test_universe_successors_match_oracle_on_merged_graphs():
+    pairs = random_pairs(1, 200)
+    client, client_initials = merge_graphs([compile_term(c) for c, _ in pairs])
+    server, server_initials = merge_graphs([compile_term(s) for _, s in pairs])
+    roots = [PairState(c, s) for c, s in zip(client_initials, server_initials)]
+    universe = Composition(client, server).build_universe(roots, max_pairs=100000)
+    assert len(universe.roots) > 100
+    assert_universe_successors_match_oracle(universe)
+
+
+@pytest.mark.parametrize(
+    "client_text,server_text,root_moves",
+    [
+        # both synchronisations on a lead to the same pair
+        ("!a.0 + ?a.0", "?a.0 + !a.0", 1),
+        # only dual kinds meet: !a with ?a and ?a with !a, never !a with !a
+        ("!a.0 + ?a.!b.0", "?a.0 + !a.?b.0", 2),
+    ],
+)
+def test_universe_successors_match_oracle_when_names_go_both_ways(
+    client_text, server_text, root_moves
+):
+    client = compile_term(parse_term(client_text))
+    server = compile_term(parse_term(server_text))
+    universe = universe_of(client, server)
+    assert len(universe.successors_idx[0]) == root_moves
+    assert_universe_successors_match_oracle(universe)
 
 
 @pytest.mark.parametrize("seed", range(40))

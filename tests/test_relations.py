@@ -14,8 +14,9 @@ from bcc import (
     corpus,
     evaluate,
     parse_term,
+    verdict_at,
 )
-from conftest import compiled_random_pair
+from conftest import compiled_random_pair, universe_of
 from oracles import brute_verdicts, is_tau_path, witness_violates
 
 # Expected corpus verdicts, in relation order pg, mst, shd, beh, io, may.
@@ -198,3 +199,50 @@ def test_random_pairs_agree_with_brute_force(seed):
     client, server = compiled_random_pair(seed, max_depth=4)
     got = {k.value: v.holds for k, v in evaluate(client, server).items()}
     assert got == brute_verdicts(client, server)
+
+
+# -- shared root search ------------------------------------------------------------
+
+
+def one_kind_at_a_time(client, server):
+    """Each verdict from its own fresh universe and its own search."""
+    verdicts = {}
+    for kind in RelationKind:
+        universe = universe_of(client, server)
+        verdicts[kind] = verdict_at(universe, universe.root, kind)
+    return verdicts
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_evaluate_equals_one_kind_verdicts_on_random_pairs(seed):
+    client, server = compiled_random_pair(seed)
+    assert evaluate(client, server) == one_kind_at_a_time(client, server)
+
+
+# the benchmark's tau-grid families at small sizes: tau^n.!a.0 against a
+# server with m leading taus that accepts, refuses, or may loop back; and an
+# !a chain against rec Y.?a.Y
+FAMILY_PAIRS = [
+    ("tau.tau.!a.0", "tau.tau.tau.?a.0"),
+    ("tau.tau.tau.!a.0", "tau.?b.0"),
+    ("tau.tau.!a.0", "rec Y.tau.tau.(?a.0 + tau.Y)"),
+    ("!a.!a.!a.!a.0", "rec Y.?a.Y"),
+]
+
+
+@pytest.mark.parametrize("client_text,server_text", FAMILY_PAIRS)
+def test_evaluate_equals_one_kind_verdicts_on_grid_families(client_text, server_text):
+    client = compile_term(parse_term(client_text))
+    server = compile_term(parse_term(server_text))
+    assert evaluate(client, server) == one_kind_at_a_time(client, server)
+
+
+def test_shared_search_keeps_the_must_lasso(graphs):
+    client = compile_term(parse_term("tau.tau.!a.0"))
+    server = compile_term(parse_term("rec Y.tau.tau.(?a.0 + tau.Y)"))
+    for c, s in ((client, server), (graphs["p2"], graphs["q2"])):
+        verdicts = evaluate(c, s)
+        must = verdicts[RelationKind.MUST]
+        assert not must.holds
+        assert len(must.witness) > len(set(must.witness))  # the loop closes
+        assert verdicts == one_kind_at_a_time(c, s)
