@@ -1,13 +1,21 @@
 #!/usr/bin/env python3
-"""One sha256 over the reports of a fixed list of bcc commands.
+"""Sha256 digests over the reports of a fixed list of bcc commands.
 
     python3 scripts/report_digest.py
 
 Runs each command in-process through ``bcc.cli.main`` (the ``src`` tree next
-to this script) and hashes its argv, exit code, stdout and stderr.  Two
-source trees that print the same digest produced byte-identical reports,
-errors and exit codes on every command, so a change meant to keep behaviour
-can be checked by running this script on both.
+to this script) and hashes its argv, exit code, stdout and stderr, and the
+file a ``dot`` command writes.  Two source trees that print the same digests
+produced byte-identical reports, errors and exit codes on every command, so
+a change meant to keep behaviour can be checked by running this script on
+both.
+
+Two lines are printed.  The first digest covers the original 20 commands
+(corpus checks, ``matrix``, ``verify-propositions`` and generated pairs), so
+it stays comparable with earlier versions of this script; the second covers
+those and the later additions: ``dot`` on the corpus pairs, ``check`` errors
+(unknown contract, missing file), two ``--max-pairs`` drop cases, and
+``matrix`` and ``verify-propositions`` on a corpus with unpaired names.
 
 The commands run inside a temporary directory holding a copy of
 ``corpus/`` and generated tau-grid and chain pairs, all named by relative
@@ -43,6 +51,14 @@ GENERATED = {
     "sync_both_ways.bc": ("!a.0 + ?a.0", "?a.0 + !a.0"),
 }
 
+# a corpus directory with names outside the pN/qN convention, unpaired
+# names and a pair split across two files
+ODD_CORPUS = {
+    "odd/a.bc": "p1 = !a.0\nq1 = ?a.0\nhelper = tau.0\n"
+    "p9 = 0\nq7 = ?a.0\np003 = !a.0\n",
+    "odd/b.bc": "p2 = !b.0\nq2 = ?b.0\n",
+}
+
 
 def commands() -> list:
     cmds = []
@@ -59,6 +75,21 @@ def commands() -> list:
     return cmds
 
 
+def more_commands() -> list:
+    cmds = []
+    for n in range(1, 5):
+        pair = ["corpus/examples.bc", f"p{n}", "corpus/examples.bc", f"q{n}"]
+        cmds.append(["dot", *pair, f"p{n}_q{n}.dot"])
+    cmds.append(["check", "corpus/examples.bc", "p9", "corpus/examples.bc", "q1"])
+    cmds.append(["check", "missing.bc", "p1", "corpus/examples.bc", "q1"])
+    verify = ["verify-propositions", "corpus", "--random", "5", "--json"]
+    cmds.append(verify + ["--seed", "11", "--max-pairs", "8"])
+    cmds.append(verify + ["--seed", "1", "--max-pairs", "10"])
+    cmds.append(["matrix", "odd", "--json"])
+    cmds.append(["verify-propositions", "odd", "--json"])
+    return cmds
+
+
 def run(argv) -> tuple:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -66,14 +97,21 @@ def run(argv) -> tuple:
     return code, out.getvalue(), err.getvalue()
 
 
-def digest() -> str:
+def digests(*groups) -> list:
+    """One digest after each group of commands, over every command so far."""
     sha = hashlib.sha256()
-    for argv in commands():
-        code, out, err = run(argv)
-        for part in ("\0".join(argv), str(code), out, err):
-            sha.update(part.encode("utf-8"))
-            sha.update(b"\0\1")
-    return sha.hexdigest()
+    result = []
+    for cmds in groups:
+        for argv in cmds:
+            code, out, err = run(argv)
+            parts = ["\0".join(argv), str(code), out, err]
+            if argv[0] == "dot" and code == 0:
+                parts.append(Path(argv[-1]).read_text(encoding="utf-8"))
+            for part in parts:
+                sha.update(part.encode("utf-8"))
+                sha.update(b"\0\1")
+        result.append(sha.hexdigest())
+    return result
 
 
 if __name__ == "__main__":
@@ -82,8 +120,12 @@ if __name__ == "__main__":
         shutil.copytree(ROOT / "corpus", Path(tmp) / "corpus")
         for name, (client, server) in GENERATED.items():
             (Path(tmp) / name).write_text(f"p = {client}\nq = {server}\n")
+        (Path(tmp) / "odd").mkdir()
+        for name, text in ODD_CORPUS.items():
+            (Path(tmp) / name).write_text(text)
         os.chdir(tmp)
         try:
-            print(digest())
+            for line in digests(commands(), more_commands()):
+                print(line)
         finally:
             os.chdir(start)

@@ -41,7 +41,6 @@ from .lang import (
     Term,
     Var,
     Violation,
-    compile_definitions,
     compile_term,
     parse,
     parse_term,

@@ -17,6 +17,7 @@ import os
 import re
 import sys
 import time
+from itertools import chain
 from pathlib import Path
 
 from . import __version__
@@ -24,7 +25,7 @@ from .composition import DEFAULT_MAX_PAIRS, Composition, PairState, PairUniverse
 from .errors import BccError
 from .fixpoint import classify
 from .generator import SplitMix64, GenConfig, random_contract
-from .lang import DEFAULT_MAX_STATES, compile_term, parse
+from .lang import DEFAULT_MAX_STATES, ContractDef, compile_term, parse
 from .lts import merge_graphs
 from .propositions import relation_sets, verify_universe
 from .relations import ALL_RELATIONS, RelationKind, evaluate
@@ -68,17 +69,19 @@ def _read_source(path) -> str:
         raise BccError(f"cannot read {path}: {exc}")
 
 
-def _parse_file(path: str, cache: dict) -> dict:
-    if path not in cache:
-        cache[path] = {d.name: d for d in parse(_read_source(path))}
-    return cache[path]
-
-
-def _load_contract(path, name, max_states, cache):
-    defs = _parse_file(path, cache)
-    if name not in defs:
-        raise BccError(f"contract {name!r} is not defined in {path}")
-    return compile_term(defs[name].term, max_states, name=name)
+def _load_pair(args) -> list:
+    """The client and server graphs named on the command line: each file is
+    parsed once, each contract looked up and compiled in argument order."""
+    parsed = {}
+    graphs = []
+    files = (args.client_file, args.server_file)
+    for path, name in zip(files, (args.client_name, args.server_name)):
+        if path not in parsed:
+            parsed[path] = {d.name: d for d in parse(_read_source(path))}
+        if name not in parsed[path]:
+            raise BccError(f"contract {name!r} is not defined in {path}")
+        graphs.append(compile_term(parsed[path][name].term, args.max_states, name=name))
+    return graphs
 
 
 def _emit(report: dict, as_json: bool, human_lines, timing_ms: float) -> None:
@@ -125,9 +128,7 @@ def _witness_lines(verdicts) -> list:
 
 def _cmd_check(args) -> int:
     start = time.perf_counter()
-    cache = {}
-    client = _load_contract(args.client_file, args.client_name, args.max_states, cache)
-    server = _load_contract(args.server_file, args.server_name, args.max_states, cache)
+    client, server = _load_pair(args)
     kinds = _requested_kinds(args)
     verdicts = evaluate(client, server, kinds, max_pairs=args.max_pairs)
     elapsed = (time.perf_counter() - start) * 1000
@@ -150,10 +151,11 @@ def _cmd_check(args) -> int:
 # -- matrix ---------------------------------------------------------------
 
 
-def _corpus_definitions(corpus_dir: str):
-    """All definitions of the .bc files in a directory (names must be
-    globally unique) and the pN/qN pairs among them; notes on names
-    outside the pN/qN convention go to stderr."""
+def _corpus_pairs(corpus_dir: str) -> list:
+    """The (pN, qN) definition pairs of the .bc files in a directory, keyed
+    on the digit string N and ordered by (int(N), N).  Names must be unique
+    across the files; a name outside the convention or without its partner
+    gets a note on stderr."""
     directory = Path(corpus_dir)
     if not directory.is_dir():
         raise BccError(f"{corpus_dir} is not a directory")
@@ -172,54 +174,45 @@ def _corpus_definitions(corpus_dir: str):
                 )
             defs[d.name] = d
             origin[d.name] = str(path)
+    numbers = set()
     for name in defs:
         m = _PAIR_NAME_RE.match(name)
         if not m:
-            print(
-                f"note: {origin[name]}: contract {name!r} does not follow "
-                "the pN/qN pairing convention",
-                file=sys.stderr,
-            )
+            note = "does not follow the pN/qN pairing convention"
         else:
-            partner = ("q" if m.group(1) == "p" else "p") + m.group(2)
-            if partner not in defs:
-                print(
-                    f"note: {origin[name]}: contract {name!r} has no partner "
-                    f"{partner!r}",
-                    file=sys.stderr,
-                )
-    numbers = sorted(
-        {
-            int(m.group(2))
-            for name in defs
-            if (m := _PAIR_NAME_RE.match(name))
-            and f"p{m.group(2)}" in defs
-            and f"q{m.group(2)}" in defs
-        }
-    )
-    pair_names = [(f"p{n}", f"q{n}") for n in numbers]
-    return defs, pair_names
+            partner = ("q" if m[1] == "p" else "p") + m[2]
+            if partner in defs:
+                numbers.add(m[2])
+                continue
+            note = f"has no partner {partner!r}"
+        print(f"note: {origin[name]}: contract {name!r} {note}", file=sys.stderr)
+    return [
+        (defs["p" + n], defs["q" + n])
+        for n in sorted(numbers, key=lambda n: (int(n), n))
+    ]
+
+
+def _compile_pair(client, server, max_states: int) -> list:
+    """Graphs of a client and a server definition, compiled in that order."""
+    return [compile_term(d.term, max_states, name=d.name) for d in (client, server)]
 
 
 def _cmd_matrix(args) -> int:
     start = time.perf_counter()
-    defs, pair_names = _corpus_definitions(args.corpus_dir)
-
     entries = []
     human = []
     header = "pair      " + "  ".join(f"{k.value:>3}" for k in ALL_RELATIONS)
     human.append(header)
     all_hold = True
-    for client_name, server_name in pair_names:
-        client = compile_term(defs[client_name].term, args.max_states, name=client_name)
-        server = compile_term(defs[server_name].term, args.max_states, name=server_name)
+    for client_def, server_def in _corpus_pairs(args.corpus_dir):
+        client, server = _compile_pair(client_def, server_def, args.max_states)
         verdicts = evaluate(client, server, max_pairs=args.max_pairs)
-        entries.append(_pair_entry(client_name, server_name, verdicts))
+        entries.append(_pair_entry(client.name, server.name, verdicts))
         cells = "  ".join(
             f"{(HOLD_MARK if verdicts[k].holds else FAIL_MARK):>3}"
             for k in ALL_RELATIONS
         )
-        human.append(f"{client_name + ' ' + chr(0x2016) + ' ' + server_name:<10}{cells}")
+        human.append(f"{client.name + ' ‖ ' + server.name:<10}{cells}")
         all_hold = all_hold and all(v.holds for v in verdicts.values())
     elapsed = (time.perf_counter() - start) * 1000
 
@@ -235,62 +228,44 @@ def _cmd_matrix(args) -> int:
 # -- verify-propositions ----------------------------------------------------
 
 
+def _random_pairs(seed: int, count: int):
+    """Labelled seeded random pairs, generated one at a time: a pair's terms
+    are garbage once compiled, so the collector never walks them all."""
+    rng = SplitMix64(seed)
+    for i in range(count):
+        client = random_contract(GenConfig(seed=rng.next_u64()))
+        server = random_contract(GenConfig(seed=rng.next_u64()))
+        yield f"random{i}", ContractDef("", client), ContractDef("", server)
+
+
 def _cmd_verify(args) -> int:
     start = time.perf_counter()
-    defs, pair_names = _corpus_definitions(args.corpus_dir)
-
-    labels = []
-    client_graphs = []
-    server_graphs = []
-    for client_name, server_name in pair_names:
-        labels.append(f"{client_name}‖{server_name}")
-        client_graphs.append(
-            compile_term(defs[client_name].term, args.max_states, name=client_name)
-        )
-        server_graphs.append(
-            compile_term(defs[server_name].term, args.max_states, name=server_name)
-        )
-    rng = SplitMix64(args.seed)
-    for i in range(args.random):
-        labels.append(f"random{i}")
-        client_graphs.append(
-            compile_term(
-                random_contract(GenConfig(seed=rng.next_u64())), args.max_states
-            )
-        )
-        server_graphs.append(
-            compile_term(
-                random_contract(GenConfig(seed=rng.next_u64())), args.max_states
-            )
-        )
-
-    if not client_graphs:
+    corpus = [(f"{c.name}‖{s.name}", c, s) for c, s in _corpus_pairs(args.corpus_dir)]
+    labels, graphs = [], []
+    for label, client, server in chain(corpus, _random_pairs(args.seed, args.random)):
+        labels.append(label)
+        graphs.append(_compile_pair(client, server, args.max_states))
+    if not labels:
         raise BccError(f"no contract pairs found under {args.corpus_dir}")
+    client_graphs, server_graphs = zip(*graphs)
     merged_client, client_initials = merge_graphs(client_graphs)
     merged_server, server_initials = merge_graphs(server_graphs)
     composition = Composition(merged_client, merged_server)
-    roots = [
-        PairState(c, s) for c, s in zip(client_initials, server_initials)
-    ]
-    # greedy: keep each root whose closure still fits the bound, rolling
-    # back the pairs a dropped root added
+    # greedy: keep each root whose closure still fits the bound (a root
+    # that does not leaves the record as it was)
     record = {}
     kept_roots = {}
     dropped = []
-    for position, root in enumerate(roots):
-        size = len(record)
+    for label, root in zip(labels, map(PairState, client_initials, server_initials)):
         if composition.explore(record, [root], args.max_pairs):
             kept_roots[root] = None
         else:
-            while len(record) > size:
-                record.popitem()
-            dropped.append(position)
+            dropped.append(label)
     if not kept_roots:
         raise BccError("every pair exceeded the universe bound; raise --max-pairs")
-    for position in dropped:
+    for label in dropped:
         print(
-            f"note: dropped pair {labels[position]}: universe bound "
-            f"{args.max_pairs} exceeded",
+            f"note: dropped pair {label}: universe bound {args.max_pairs} exceeded",
             file=sys.stderr,
         )
     universe = PairUniverse(composition, record, kept_roots)
@@ -317,7 +292,7 @@ def _cmd_verify(args) -> int:
         "universe": {
             "pairs": len(universe),
             "roots": len(kept_roots),
-            "dropped": [labels[i] for i in dropped],
+            "dropped": dropped,
         },
         "propositions": [
             {
@@ -345,9 +320,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_dot(args) -> int:
-    cache = {}
-    client = _load_contract(args.client_file, args.client_name, args.max_states, cache)
-    server = _load_contract(args.server_file, args.server_name, args.max_states, cache)
+    client, server = _load_pair(args)
     composition = Composition(client, server)
     root = PairState(client.initial, server.initial)
     universe = composition.build_universe([root], args.max_pairs)
@@ -442,13 +415,12 @@ def main(argv=None) -> int:
         for flag, value in bounds.items():
             if value is not None and value < 1:
                 raise BccError(f"{flag} must be positive, got {value}")
+        if getattr(args, "random", 0) < 0:
+            raise BccError(f"--random must not be negative, got {args.random}")
         if args.max_pairs is None:
             args.max_pairs = _default_max_pairs()
         return args.func(args)
-    except BccError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (BccError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError as exc:

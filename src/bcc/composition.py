@@ -13,11 +13,10 @@ directly: every pair it meets was produced from a valid one.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Iterable, NamedTuple
 
 from .errors import InvalidPairError, PairExplosionError, UniverseMismatchError
-from .lts import TAU, ContractGraph
+from .lts import TAU, ContractGraph, discover
 
 DEFAULT_MAX_PAIRS = 4096
 
@@ -61,10 +60,11 @@ class Composition:
     def tau_successors(self, ps: PairState) -> tuple:
         """Targets of the pair's tau-moves (own taus plus synchronisations)."""
         self._check(ps)
-        return self._tau_targets(*ps)
+        return self._tau_targets(ps)
 
-    def _tau_targets(self, c: int, s: int) -> tuple:
-        # unchecked: c and s must be states of the client and server graphs
+    def _tau_targets(self, ps: PairState) -> tuple:
+        # unchecked: ps must be a pair of client and server graph states
+        c, s = ps
         targets = {PairState(t, s) for t in self.client._tau_adj[c]}
         targets.update(PairState(c, t) for t in self.server._tau_adj[s])
         server_out = self.server._out[s]
@@ -85,35 +85,17 @@ class Composition:
         return not self.tau_successors(ps)
 
     def explore(self, record: dict, roots, max_pairs: int) -> bool:
-        """Extend a tau-closed ``record`` (pair -> its tau-successors, in
-        discovery order) to the least tau-closed superset of the roots.
-
-        New roots are discovered first, in the order listed, then their
-        successors in BFS order; ties among a pair's successors break by
-        (client id, server id).  Returns False, with the record partly
-        extended, when the record would grow past ``max_pairs`` pairs.
-        Every root is validated before the record changes.
-        """
+        """Extend a tau-closed ``record`` (pair -> its tau-successors) to
+        the least tau-closed superset of the roots: ``lts.discover`` under
+        ``max_pairs``, with ties among a pair's successors broken by
+        (client id, server id).  All or nothing: returns False, with the
+        record as it was, when it would grow past the bound, so a caller
+        can try roots one by one against one record.  Roots are validated
+        before any change."""
         roots = tuple(roots)
         for r in roots:
             self._check(r)
-        queue = deque()
-        for r in roots:
-            if r not in record:
-                if len(record) >= max_pairs:
-                    return False
-                record[r] = None
-                queue.append(r)
-        while queue:
-            ps = queue.popleft()
-            targets = record[ps] = self._tau_targets(*ps)
-            for t in targets:
-                if t not in record:
-                    if len(record) >= max_pairs:
-                        return False
-                    record[t] = None
-                    queue.append(t)
-        return True
+        return discover(record, roots, self._tau_targets, max_pairs)
 
     def build_universe(
         self, roots: Iterable[PairState], max_pairs: int = DEFAULT_MAX_PAIRS

@@ -1,7 +1,7 @@
 """Bundled example corpus: four client/server pairs that separate the six
 compliance relations (every pair of relations disagrees somewhere on it)."""
 
-from .lang import compile_definitions, parse
+from .lang import compile_term, parse
 
 EXAMPLES_SOURCE = """\
 # Standard example corpus.  Pairing convention: client pN runs against
@@ -23,7 +23,7 @@ def example_definitions():
 
 def example_graphs():
     """Compiled corpus graphs keyed by contract name."""
-    return compile_definitions(example_definitions())
+    return {d.name: compile_term(d.term, name=d.name) for d in example_definitions()}
 
 
 def example_pairs():

@@ -119,7 +119,7 @@ def random_contract(cfg: GenConfig) -> Term:
             )
         threshold = cfg.rec_probability + cfg.choice_probability
         remaining = 1.0 - threshold
-        if roll < threshold + remaining * _PREFIX_SHARE or roll < threshold:
+        if roll < threshold + remaining * _PREFIX_SHARE:
             return Prefix(
                 rng.choice(prefixes), gen(depth - 1, guarded | unguarded, set())
             )

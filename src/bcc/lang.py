@@ -19,7 +19,6 @@ unfolding is hashed once and equal terms share one integer id.
 from __future__ import annotations
 
 import re
-from collections import deque
 from dataclasses import dataclass
 from functools import cache
 from itertools import repeat
@@ -30,7 +29,7 @@ from .errors import (
     ParseError,
     StateExplosionError,
 )
-from .lts import TAU, ContractGraph, Label, inp, out
+from .lts import TAU, ContractGraph, Label, discover, inp, out
 
 DEFAULT_MAX_STATES = 1024
 
@@ -295,6 +294,8 @@ def compile_term(
     numbered in BFS discovery order; the terminal state (when reachable)
     always receives id 0.  Transition-free terms (0 itself, but also e.g.
     0 + 0) all collapse onto the terminal state, keeping it the unique sink.
+    More than ``max_states`` states, the initial one included, raise
+    StateExplosionError.
     """
     violations = well_formed(term)
     if violations:
@@ -345,39 +346,26 @@ def compile_term(
     def key(u):
         return nil if not transitions(u) else u
 
+    def successors(u):
+        return [key(v) for _, v in transitions(u)]
+
     nil = row(Nil, None)
     root = key(intern(term))
-    discovered = {root: None}
-    queue = deque([root])
-    while queue:
-        for _, v in transitions(queue.popleft()):
-            v = key(v)
-            if v not in discovered:
-                if len(discovered) >= max_states:
-                    raise StateExplosionError(
-                        f"more than {max_states} states while compiling"
-                        + (f" {name!r}" if name else "")
-                    )
-                discovered[v] = None
-                queue.append(v)
+    record = {}
+    if not discover(record, (root,), successors, max_states):
+        raise StateExplosionError(
+            f"more than {max_states} states while compiling"
+            + (f" {name!r}" if name else "")
+        )
 
     # the terminal row first, then discovery order (the sort is stable)
-    order = sorted(discovered, key=lambda u: u != nil)
+    order = sorted(record, key=lambda u: u != nil)
     number = {u: i for i, u in enumerate(order)}
     edges = [
-        (number[u], lab, number[key(v)])
-        for u in discovered
-        for lab, v in transitions(u)
+        (number[u], lab, number[v])
+        for u, targets in record.items()
+        for (lab, _), v in zip(transitions(u), targets)
     ]
     return ContractGraph(
         len(number), number[root], edges, 0 if nil in number else None, name=name
     )
-
-
-def compile_definitions(
-    defs, max_states: int = DEFAULT_MAX_STATES
-) -> dict:
-    """Compile a list of ContractDefs to named graphs, keyed by name."""
-    return {
-        d.name: compile_term(d.term, max_states, name=d.name) for d in defs
-    }

@@ -6,9 +6,11 @@ never terminate).  Derived tables -- tau-closures, weak barbs, divergence --
 are computed once at construction; graphs are immutable afterwards and safe
 to read from any number of threads.
 
-The two graph kernels every layer of the package shares live here too:
+The three graph kernels every layer of the package shares live here too:
 ``reach`` (BFS closure) and ``attractor`` (counter-based dead-end
-propagation), both over integer adjacency tuples.
+propagation), both over integer adjacency tuples, and ``discover``, the
+bounded BFS that the compiler and the pair universes explore their state
+spaces with, over a successor function.
 """
 
 from __future__ import annotations
@@ -106,6 +108,30 @@ def reach(adj, sources, within=None) -> frozenset:
                 seen.add(v)
                 queue.append(v)
     return frozenset(seen)
+
+
+def discover(record: dict, roots, successors, bound: int) -> bool:
+    """Extend ``record`` (node -> ``successors(node)``) to the least
+    superset of the roots closed under ``successors``: new roots first, in
+    the order listed, then BFS order.  Recorded nodes count as closed.  All
+    or nothing: when the record would grow past ``bound`` nodes, it is
+    restored and False is returned."""
+    size = len(record)
+    queue = deque()
+    targets = roots
+    while True:
+        for v in targets:
+            if v not in record:
+                record[v] = None
+                queue.append(v)
+        if not queue or len(record) > bound:
+            break
+        u = queue.popleft()
+        targets = record[u] = successors(u)
+    if queue:  # stopped at the bound: drop every node this call added
+        while len(record) > size:
+            record.popitem()
+    return not queue
 
 
 def attractor(succ, pred, seeds) -> frozenset:

@@ -25,6 +25,12 @@ def corpus_dir(tmp_path):
     return str(tmp_path)
 
 
+def test_corpus_file_is_the_bundled_source():
+    # the README and scripts read the file, the tests read the string
+    path = Path(__file__).resolve().parent.parent / "corpus" / "examples.bc"
+    assert path.read_bytes() == EXAMPLES_SOURCE.encode("utf-8")
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -255,6 +261,26 @@ def test_matrix_non_utf8_file_exits_two(capsys, tmp_path):
     assert "Traceback" not in err
 
 
+PADDED_AND_PLAIN = "p01 = !a.0\nq01 = ?a.0\np1 = !b.0\nq1 = ?b.0\n"
+
+
+def test_matrix_pairs_zero_padded_names(capsys, tmp_path):
+    (tmp_path / "padded.bc").write_text("p01 = !a.0\nq01 = ?a.0\n")
+    code, out, err = run(capsys, "matrix", str(tmp_path), "--json")
+    assert code == 0 and err == ""
+    pairs = json.loads(out)["pairs"]
+    assert [(e["client"], e["server"]) for e in pairs] == [("p01", "q01")]
+
+
+def test_matrix_keeps_padded_and_plain_numbers_apart(capsys, tmp_path):
+    (tmp_path / "both.bc").write_text(PADDED_AND_PLAIN + "p10 = 0\nq10 = 0\n")
+    (tmp_path / "two.bc").write_text("p2 = !c.0\nq2 = ?c.0\n")
+    code, out, err = run(capsys, "matrix", str(tmp_path), "--json")
+    assert code == 0 and err == ""
+    pairs = json.loads(out)["pairs"]
+    assert [e["client"] for e in pairs] == ["p01", "p1", "p2", "p10"]
+
+
 # -- verify-propositions --------------------------------------------------------
 
 
@@ -318,6 +344,34 @@ def test_verify_propositions_rolls_back_a_dropped_pair(capsys, corpus_dir):
     report = json.loads(out)
     assert report["universe"] == {"pairs": 10, "roots": 8, "dropped": ["random1"]}
     assert err.count("note: dropped pair") == 1
+
+
+def test_verify_propositions_pairs_zero_padded_names(capsys, tmp_path):
+    (tmp_path / "padded.bc").write_text("p01 = !a.0\nq01 = ?a.0\n")
+    code, out, err = run(capsys, "verify-propositions", str(tmp_path), "--json")
+    assert code == 0 and err == ""
+    assert json.loads(out)["universe"] == {"pairs": 2, "roots": 1, "dropped": []}
+
+
+def test_verify_propositions_keeps_padded_and_plain_numbers_apart(capsys, tmp_path):
+    # each pair's universe holds two pairs, so a bound of two keeps the first
+    (tmp_path / "both.bc").write_text(PADDED_AND_PLAIN)
+    code, out, err = run(
+        capsys, "verify-propositions", str(tmp_path), "--max-pairs", "2", "--json"
+    )
+    assert code == 0
+    assert json.loads(out)["universe"] == {"pairs": 2, "roots": 1, "dropped": ["p1‖q1"]}
+    assert err == "note: dropped pair p1‖q1: universe bound 2 exceeded\n"
+
+
+def test_verify_propositions_rejects_a_negative_random_count(capsys, corpus_dir):
+    code, out, err = run(capsys, "verify-propositions", corpus_dir, "--random", "-3")
+    assert code == 2 and out == ""
+    assert err == "error: --random must not be negative, got -3\n"
+    code, out, _ = run(
+        capsys, "verify-propositions", corpus_dir, "--random", "0", "--json"
+    )
+    assert code == 0 and json.loads(out)["inputs"]["random"] == 0
 
 
 # -- dot -------------------------------------------------------------------------

@@ -153,6 +153,25 @@ def test_universe_respects_pair_bound(graphs):
         universe_of(graphs["p1"], graphs["q1"], max_pairs=1)
 
 
+def test_explore_over_the_bound_leaves_the_record_as_it_was(graphs):
+    client, client_initials = merge_graphs([graphs["p2"], graphs["p4"]])
+    server, server_initials = merge_graphs([graphs["q2"], graphs["q4"]])
+    composition = Composition(client, server)
+    first, second = map(PairState, client_initials, server_initials)
+    record = {}
+    assert not composition.explore(record, [first], max_pairs=1)
+    assert record == {}
+    assert composition.explore(record, [first], max_pairs=10)
+    before = list(record.items())
+    both = len(composition.build_universe([first, second]))
+    # the second root fits, one of its successors does not
+    assert both == len(before) + 2
+    assert not composition.explore(record, [second], max_pairs=both - 1)
+    assert list(record.items()) == before
+    assert composition.explore(record, [second], max_pairs=both)
+    assert list(record.items())[: len(before)] == before
+
+
 def test_multi_root_universe_orders_roots_first(graphs):
     composition = comp(graphs, "p3", "q3")
     roots = [PairState(1, 1), PairState(2, 0)]

@@ -173,6 +173,14 @@ def test_compile_state_bound():
     assert compile_term(term, max_states=4).num_states == 4
 
 
+@pytest.mark.parametrize("text", ["0", "0 + 0", "!a.0", "rec X.!a.X"])
+def test_compile_state_bound_counts_the_initial_state(text):
+    with pytest.raises(StateExplosionError):
+        compile_term(parse_term(text), max_states=0)
+    if not compile_term(parse_term(text)).edges:
+        assert compile_term(parse_term(text), max_states=1).num_states == 1
+
+
 def test_exactly_one_sink_in_compiled_graphs():
     for seed in range(100):
         g = compile_term(random_contract(GenConfig(seed=seed)))

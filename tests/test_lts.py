@@ -14,7 +14,7 @@ from bcc import (
     parse_term,
     compile_term,
 )
-from bcc.lts import attractor, reach
+from bcc.lts import attractor, discover, reach
 from conftest import compiled_random_pair
 from oracles import diverges_brute, weak_barbs_brute
 
@@ -247,3 +247,23 @@ def test_kernels_match_their_definitions(succ_sets, data):
         closure |= {v for u in closure for v in succ[u] if v in within}
     assert reach(succ, sources, within) == closure
     assert reach(succ, sources) == reach(succ, sources, frozenset(range(n)))
+
+    roots = data.draw(st.lists(st.integers(0, n - 1), max_size=3))
+    order = list(dict.fromkeys(roots))  # reference BFS: roots, then by layers
+    for u in order:
+        for v in succ[u]:
+            if v not in order:
+                order.append(v)
+    record = {}
+    assert discover(record, roots, succ.__getitem__, n)
+    assert list(record) == order and set(order) == reach(succ, roots)
+    assert all(record[u] == succ[u] for u in order)
+
+    more = data.draw(st.lists(st.integers(0, n - 1), max_size=3))
+    closure = reach(succ, roots + more)
+    before = list(record.items())
+    if len(closure) > len(record):  # all or nothing below the closure size
+        assert not discover(record, more, succ.__getitem__, len(closure) - 1)
+        assert list(record.items()) == before
+    assert discover(record, more, succ.__getitem__, len(closure))
+    assert set(record) == closure
