@@ -14,7 +14,7 @@ from collections import Counter
 sys.path.insert(0, __file__.rsplit("/scripts/", 1)[0] + "/src")
 
 from bcc import RelationKind, compile_term, evaluate
-from bcc.generator import random_pairs
+from bcc.generator import GenConfig, random_pairs
 from bcc.propositions import INCLUSIONS
 
 
@@ -25,8 +25,14 @@ def main() -> int:
     parser.add_argument("--max-depth", type=int, default=6)
     parser.add_argument("--alphabet", default="a,b,c")
     args = parser.parse_args()
-
+    if args.count < 1:
+        parser.error(f"--count must be positive, got {args.count}")
     alphabet = tuple(args.alphabet.split(","))
+    try:
+        GenConfig(seed=0, max_depth=args.max_depth, alphabet=alphabet)
+    except ValueError as exc:
+        parser.error(str(exc))
+
     holds = Counter()
     joint = Counter()
     violations = []

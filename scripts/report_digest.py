@@ -10,12 +10,15 @@ produced byte-identical reports, errors and exit codes on every command, so
 a change meant to keep behaviour can be checked by running this script on
 both.
 
-Two lines are printed.  The first digest covers the original 20 commands
+Three lines are printed.  The first digest covers the original 20 commands
 (corpus checks, ``matrix``, ``verify-propositions`` and generated pairs), so
 it stays comparable with earlier versions of this script; the second covers
 those and the later additions: ``dot`` on the corpus pairs, ``check`` errors
 (unknown contract, missing file), two ``--max-pairs`` drop cases, and
-``matrix`` and ``verify-propositions`` on a corpus with unpaired names.
+``matrix`` and ``verify-propositions`` on a corpus with unpaired names.  The
+third covers no command but the library's own tables (``table_digest``): the
+generator's draws, and the weak facts of every state of the graphs those
+commands build.
 
 The commands run inside a temporary directory holding a copy of
 ``corpus/`` and generated tau-grid and chain pairs, all named by relative
@@ -35,6 +38,10 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from bcc.cli import main  # noqa: E402
+from bcc.corpus import example_graphs, example_pairs  # noqa: E402
+from bcc.generator import random_pairs  # noqa: E402
+from bcc.lang import compile_term, pretty  # noqa: E402
+from bcc.lts import merge_graphs  # noqa: E402
 
 # (file name, client, server): client tau^n.!a.0 against a server with m
 # leading taus that accepts (ok), refuses (stuck) or may loop back (loop),
@@ -114,6 +121,35 @@ def digests(*groups) -> list:
     return result
 
 
+def table_digest() -> str:
+    """Digest of ``pretty`` of every term of ``random_pairs(1, 2000)``, then
+    of every state's weak barbs, success reachability, divergence and
+    tau-closure in the eight corpus graphs and in the two merged graphs that
+    ``verify-propositions corpus --random 500 --seed 1`` builds."""
+    sha = hashlib.sha256()
+    drawn = random_pairs(1, 2000)
+    for pair in drawn:
+        for term in pair:
+            sha.update(pretty(term).encode("utf-8") + b"\0")
+    corpus = example_graphs()
+    pairs = [(corpus[c], corpus[s]) for c, s in example_pairs()]
+    pairs += [(compile_term(c), compile_term(s)) for c, s in drawn[:500]]
+    merged = [merge_graphs(side)[0] for side in zip(*pairs)]
+    for g in [corpus[name] for name in sorted(corpus)] + merged:
+        sha.update(repr(g).encode("utf-8"))
+        for s in range(g.num_states):
+            barbs = g.weak_barbs(s)
+            facts = (
+                sorted(barbs.inputs),
+                sorted(barbs.outputs),
+                g.weak_reaches_zero(s),
+                g.may_diverge(s),
+                sorted(g.tau_closure(s)),
+            )
+            sha.update(repr(facts).encode("utf-8"))
+    return sha.hexdigest()
+
+
 if __name__ == "__main__":
     start = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
@@ -129,3 +165,4 @@ if __name__ == "__main__":
                 print(line)
         finally:
             os.chdir(start)
+    print(table_digest())

@@ -24,7 +24,7 @@ from . import __version__
 from .composition import DEFAULT_MAX_PAIRS, Composition, PairState, PairUniverse, to_dot
 from .errors import BccError
 from .fixpoint import classify
-from .generator import SplitMix64, GenConfig, random_contract
+from .generator import iter_random_pairs
 from .lang import DEFAULT_MAX_STATES, ContractDef, compile_term, parse
 from .lts import merge_graphs
 from .propositions import relation_sets, verify_universe
@@ -228,21 +228,16 @@ def _cmd_matrix(args) -> int:
 # -- verify-propositions ----------------------------------------------------
 
 
-def _random_pairs(seed: int, count: int):
-    """Labelled seeded random pairs, generated one at a time: a pair's terms
-    are garbage once compiled, so the collector never walks them all."""
-    rng = SplitMix64(seed)
-    for i in range(count):
-        client = random_contract(GenConfig(seed=rng.next_u64()))
-        server = random_contract(GenConfig(seed=rng.next_u64()))
-        yield f"random{i}", ContractDef("", client), ContractDef("", server)
-
-
 def _cmd_verify(args) -> int:
     start = time.perf_counter()
     corpus = [(f"{c.name}‖{s.name}", c, s) for c, s in _corpus_pairs(args.corpus_dir)]
+    # drawn one at a time, so the collector never walks all pairs' terms
+    randoms = (
+        (f"random{i}", ContractDef("", c), ContractDef("", s))
+        for i, (c, s) in enumerate(iter_random_pairs(args.seed, args.random))
+    )
     labels, graphs = [], []
-    for label, client, server in chain(corpus, _random_pairs(args.seed, args.random)):
+    for label, client, server in chain(corpus, randoms):
         labels.append(label)
         graphs.append(_compile_pair(client, server, args.max_states))
     if not labels:

@@ -8,9 +8,10 @@ reproducible from a single root seed.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
-from .lang import Choice, Nil, Prefix, Rec, Term, Var, Violation, well_formed
+from .lang import _NAME_RE, _RESERVED, Choice, Nil, Prefix, Rec, Term, Var
 from .lts import TAU, inp, out
 
 _MASK = (1 << 64) - 1
@@ -75,6 +76,10 @@ class GenConfig:
             raise ValueError("max_depth must be non-negative")
         if not self.alphabet:
             raise ValueError("alphabet must not be empty")
+        for name in self.alphabet:
+            valid = isinstance(name, str) and _NAME_RE.fullmatch(name)
+            if not valid or name in _RESERVED:
+                raise ValueError(f"alphabet entry {name!r} is not an action name")
         if min(self.rec_probability, self.choice_probability) < 0:
             raise ValueError("probabilities must be non-negative")
         if self.rec_probability + self.choice_probability >= 1:
@@ -87,30 +92,29 @@ class GenConfig:
 def random_contract(cfg: GenConfig) -> Term:
     """A closed, guarded term; a deterministic function of cfg."""
     rng = SplitMix64(cfg.seed)
-    prefixes = [TAU]
-    for a in cfg.alphabet:
-        prefixes.append(inp(a))
-        prefixes.append(out(a))
-    counter = [0]
-
-    def fresh_var():
-        counter[0] += 1
-        return f"X{counter[0]}"
+    prefixes = [TAU] + [make(a) for a in cfg.alphabet for make in (inp, out)]
+    binders = (f"X{i}" for i in itertools.count(1))
+    uses = []  # the variable of every kept Var leaf, in drawing order
 
     def terminal(guarded):
-        options = [Nil()] + [Var(v) for v in sorted(guarded)]
-        return rng.choice(options)
+        i = rng.randrange(len(guarded) + 1)
+        if i:
+            uses.append(sorted(guarded)[i - 1])
+            return Var(uses[-1])
+        return Nil()
 
     def gen(depth, guarded, unguarded):
         if depth == 0:
             return terminal(guarded)
         roll = rng.random()
         if roll < cfg.rec_probability and depth >= 2:
-            var = fresh_var()
+            var = next(binders)
             for _ in range(_REC_RETRIES):
+                mark = len(uses)
                 body = gen(depth - 1, guarded, unguarded | {var})
-                if Violation("unbound-variable", var) in well_formed(body):
+                if var in uses[mark:]:  # binders are fresh: var occurs free
                     return Rec(var, body)
+                del uses[mark:]
             # binder stayed unused; fall through to a plain prefix
         elif roll < cfg.rec_probability + cfg.choice_probability:
             return Choice(
@@ -118,8 +122,7 @@ def random_contract(cfg: GenConfig) -> Term:
                 gen(depth - 1, guarded, unguarded),
             )
         threshold = cfg.rec_probability + cfg.choice_probability
-        remaining = 1.0 - threshold
-        if roll < threshold + remaining * _PREFIX_SHARE:
+        if roll < threshold + (1.0 - threshold) * _PREFIX_SHARE:
             return Prefix(
                 rng.choice(prefixes), gen(depth - 1, guarded | unguarded, set())
             )
@@ -128,13 +131,16 @@ def random_contract(cfg: GenConfig) -> Term:
     return gen(cfg.max_depth, set(), set())
 
 
-def random_pairs(seed: int, count: int, **cfg_kwargs) -> list:
-    """Deterministic list of (client term, server term) pairs derived from
-    one root seed."""
+def iter_random_pairs(seed: int, count: int, **cfg_kwargs):
+    """(client term, server term) pairs derived from one root seed, drawn
+    one at a time: two seeds per pair, the client's first."""
     root = SplitMix64(seed)
-    pairs = []
     for _ in range(count):
         client = random_contract(GenConfig(seed=root.next_u64(), **cfg_kwargs))
         server = random_contract(GenConfig(seed=root.next_u64(), **cfg_kwargs))
-        pairs.append((client, server))
-    return pairs
+        yield client, server
+
+
+def random_pairs(seed: int, count: int, **cfg_kwargs) -> list:
+    """The list of ``iter_random_pairs``."""
+    return list(iter_random_pairs(seed, count, **cfg_kwargs))

@@ -2,9 +2,9 @@
 
 States are dense integer ids.  A graph may own a distinguished *success*
 state: the unique state without outgoing edges (absent when the contract can
-never terminate).  Derived tables -- tau-closures, weak barbs, divergence --
-are computed once at construction; graphs are immutable afterwards and safe
-to read from any number of threads.
+never terminate).  Weak barbs, divergence and success reachability are
+tables built once, by backward search over tau-edges; tau-closures are
+searched on demand.  Graphs are immutable and safe to read from any thread.
 
 The three graph kernels every layer of the package shares live here too:
 ``reach`` (BFS closure) and ``attractor`` (counter-based dead-end
@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 from .errors import UnknownStateError
@@ -91,6 +92,16 @@ class BarbSet:
 
     def __bool__(self) -> bool:
         return bool(self.inputs or self.outputs)
+
+
+@lru_cache(maxsize=1024)
+def _barb_set(labels: tuple) -> BarbSet:
+    """The BarbSet of some visible labels.  Equal tuples share one object,
+    across graphs too, so the weak-barb tables allocate almost nothing."""
+    return BarbSet(
+        frozenset(lab.name for lab in labels if lab.kind == INPUT),
+        frozenset(lab.name for lab in labels if lab.kind == OUTPUT),
+    )
 
 
 Edge = tuple  # (source: int, label: Label, target: int)
@@ -188,12 +199,18 @@ class ContractGraph:
         self.edges = tuple(sorted(set((s, lab, t) for (s, lab, t) in edges)))
 
         outgoing = [[] for _ in range(num_states)]
+        tau_pred = [[] for _ in range(num_states)]
+        offers = {}  # visible label -> the states with an edge carrying it
         for s, lab, t in self.edges:
             if not isinstance(lab, Label):
                 raise ValueError(f"edge label {lab!r} is not a Label")
             if not (0 <= s < num_states and 0 <= t < num_states):
                 raise ValueError(f"edge ({s}, {lab}, {t}) leaves the state range")
             outgoing[s].append((lab, t))
+            if lab.is_visible:
+                offers.setdefault(lab, []).append(s)
+            else:
+                tau_pred[t].append(s)
         self._out = tuple(tuple(o) for o in outgoing)
 
         if zero is not None and self._out[zero]:
@@ -207,30 +224,20 @@ class ContractGraph:
         self._tau_adj = tuple(
             tuple(t for (lab, t) in outs if lab.is_internal) for outs in self._out
         )
-        tau_pred = [[] for _ in range(num_states)]
-        for s, targets in enumerate(self._tau_adj):
-            for t in targets:
-                tau_pred[t].append(s)
-        self._closure = tuple(reach(self._tau_adj, (s,)) for s in range(num_states))
+        # a state tau-reaches success, or weakly offers a visible action,
+        # iff it tau-reaches a state where that is decided
+        self._reaches_zero = reach(tau_pred, () if zero is None else (zero,))
+        weak = [[] for _ in range(num_states)]
+        for lab, sources in sorted(offers.items()):  # one cache key per label set
+            for s in reach(tau_pred, sources):
+                weak[s].append(lab)
+        self._weak = tuple(_barb_set(tuple(labels)) for labels in weak)
         # a state diverges iff it starts an infinite tau-path, i.e. iff it
         # is outside the attractor of the states without tau-successors
         tau_stuck = (s for s in range(num_states) if not self._tau_adj[s])
         self._diverging = frozenset(range(num_states)) - attractor(
             self._tau_adj, tau_pred, tau_stuck
         )
-        self._weak = tuple(self._compute_weak_barbs(s) for s in range(num_states))
-
-    # -- construction helpers -------------------------------------------
-
-    def _compute_weak_barbs(self, s: int) -> BarbSet:
-        ins, outs = set(), set()
-        for t in self._closure[s]:
-            for lab, _ in self._out[t]:
-                if lab.kind == INPUT:
-                    ins.add(lab.name)
-                elif lab.kind == OUTPUT:
-                    outs.add(lab.name)
-        return BarbSet(frozenset(ins), frozenset(outs))
 
     def _check_state(self, s: int) -> None:
         if not isinstance(s, int) or not 0 <= s < self.num_states:
@@ -251,14 +258,12 @@ class ContractGraph:
     def barbs(self, s: int) -> BarbSet:
         """Visible actions immediately available at s."""
         self._check_state(s)
-        ins = frozenset(lab.name for (lab, _) in self._out[s] if lab.kind == INPUT)
-        outs = frozenset(lab.name for (lab, _) in self._out[s] if lab.kind == OUTPUT)
-        return BarbSet(ins, outs)
+        return _barb_set(tuple(lab for (lab, _) in self._out[s] if lab.is_visible))
 
     def tau_closure(self, s: int) -> frozenset:
         """Least set containing s and closed under tau-edges."""
         self._check_state(s)
-        return self._closure[s]
+        return reach(self._tau_adj, (s,))
 
     def weak_barbs(self, s: int) -> BarbSet:
         """Visible actions available after any number of tau-steps."""
@@ -273,7 +278,7 @@ class ContractGraph:
     def weak_reaches_zero(self, s: int) -> bool:
         """True iff the success state is tau-reachable from s."""
         self._check_state(s)
-        return self.zero is not None and self.zero in self._closure[s]
+        return s in self._reaches_zero
 
     # -- identity --------------------------------------------------------
 
@@ -313,16 +318,12 @@ def merge_graphs(
     edges = []
     initials = []
     for g in graphs:
-        def remap(s, g=g, base=base):
-            if g.zero is not None:
-                if s == g.zero:
-                    return 0
-                return base + (s - 1 if s > g.zero else s)
-            return base + s
-        initials.append(remap(g.initial))
-        for s, lab, t in g.edges:
-            edges.append((remap(s), lab, remap(t)))
-        base += g.num_states - (1 if g.zero is not None else 0)
+        ids = list(range(base, base + g.num_states))  # merged id of each state
+        if g.zero is not None:
+            ids[g.zero:] = [0] + ids[g.zero : -1]
+        initials.append(ids[g.initial])
+        edges.extend((ids[s], lab, ids[t]) for s, lab, t in g.edges)
+        base += g.num_states - (g.zero is not None)
     merged = ContractGraph(
         base, initials[0], edges, 0 if any_zero else None, name=name
     )

@@ -65,14 +65,12 @@ def _stuck_indices(universe: PairUniverse) -> frozenset:
 
 
 def _beh_violations(universe: PairUniverse, progress: frozenset) -> frozenset:
-    client = universe.client_graph
-    zero = client.zero
-    closure = client._closure
+    reaches_zero = universe.client_graph._reaches_zero
     diverging = universe.server_graph._diverging
     return progress | frozenset(
         i
         for i, (c, s) in enumerate(universe.pairs)
-        if s in diverging and (zero is None or zero not in closure[c])
+        if s in diverging and c not in reaches_zero
     )
 
 

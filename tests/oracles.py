@@ -1,10 +1,11 @@
 """Brute-force definitional evaluators used as independent test oracles.
 
 Everything here works from raw edge lists: composition moves are re-derived
-inline from the three rules, and each relation is decided by exhaustive
-tau-path exploration with cycle detection.  None of the library's cached
-closure tables, backward-reachability sets, or fixed-point machinery is
-used, so agreement with the library is meaningful.
+inline from the three rules, each weak fact of a state is found by a forward
+search from that state, and each relation is decided by exhaustive tau-path
+exploration with cycle detection.  None of the library's graph tables,
+backward-reachability sets, or fixed-point machinery is used, so agreement
+with the library is meaningful.
 
 ``reference_compile`` is the compiler by plain Term substitution, with the
 frozen dataclasses' own structural hashing merging equal unfoldings; the
@@ -78,6 +79,19 @@ def reachable_pairs(client, server, root):
     while stack:
         ps = stack.pop()
         for t in pair_tau_successors(client, server, ps):
+            if t not in seen:
+                seen.add(t)
+                stack.append(t)
+    return seen
+
+
+def tau_closure_brute(graph, state):
+    """States reachable from state by tau-steps (state included), by plain
+    DFS."""
+    seen = {state}
+    stack = [state]
+    while stack:
+        for t in raw_tau_targets(graph, stack.pop()):
             if t not in seen:
                 seen.add(t)
                 stack.append(t)

@@ -3,7 +3,13 @@ import pytest
 from hypothesis import given, settings
 
 from bcc import Choice, Nil, Prefix, Rec, Var, compile_term, well_formed
-from bcc.generator import GenConfig, SplitMix64, random_contract, random_pairs
+from bcc.generator import (
+    GenConfig,
+    SplitMix64,
+    iter_random_pairs,
+    random_contract,
+    random_pairs,
+)
 
 
 def test_splitmix64_reference_vector():
@@ -42,6 +48,12 @@ def test_config_validation():
         GenConfig(seed=-1)
     with pytest.raises(ValueError):
         GenConfig(seed=0, max_depth=-2)
+
+
+@pytest.mark.parametrize("name", ["tau", "rec", "a b", "1x", "", "?a", "_a", 7])
+def test_config_rejects_names_the_language_cannot_write(name):
+    with pytest.raises(ValueError, match="not an action name"):
+        GenConfig(seed=1, alphabet=("a", name))
 
 
 @pytest.mark.parametrize("seed", range(0, 2000, 7))
@@ -112,3 +124,9 @@ def test_random_pairs_reproducible():
     assert first == second
     assert len(first) == 5
     assert all(well_formed(c) == [] and well_formed(s) == [] for c, s in first)
+
+
+def test_iter_random_pairs_is_lazy_and_equals_the_list():
+    pairs = iter_random_pairs(2024, 6, max_depth=4)
+    assert iter(pairs) is pairs
+    assert list(pairs) == random_pairs(2024, 6, max_depth=4)

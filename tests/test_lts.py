@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given
 
 from bcc import (
+    INPUT,
+    OUTPUT,
     TAU,
     BarbSet,
     ContractGraph,
@@ -16,10 +18,32 @@ from bcc import (
 )
 from bcc.lts import attractor, discover, reach
 from conftest import compiled_random_pair
-from oracles import diverges_brute, weak_barbs_brute
+from oracles import (
+    diverges_brute,
+    reaches_zero_brute,
+    tau_closure_brute,
+    weak_barbs_brute,
+)
 
 names = st.from_regex(r"[a-z][a-z0-9_]{0,5}", fullmatch=True)
 visible_labels = st.one_of(st.builds(inp, names), st.builds(out, names))
+small_labels = [TAU, inp("a"), out("a"), inp("b"), out("b")]
+
+
+@st.composite
+def contract_graphs(draw):
+    """Arbitrary small graphs: tau cycles and self-loops, with or without a
+    success state (every other state needs an outgoing edge)."""
+    n = draw(st.integers(1, 6))
+    zero = draw(st.none() | st.integers(0, n - 1))
+    moves = st.tuples(st.sampled_from(small_labels), st.integers(0, n - 1))
+    edges = [
+        (s, lab, t)
+        for s in range(n)
+        if s != zero
+        for lab, t in draw(st.lists(moves, min_size=1, max_size=4))
+    ]
+    return ContractGraph(n, draw(st.integers(0, n - 1)), edges, zero)
 
 
 @given(visible_labels)
@@ -210,13 +234,46 @@ def test_merge_without_any_success_state(graphs):
     assert initials == (0, 2)
 
 
-def test_merge_preserves_component_behaviour(graphs):
-    parts = [graphs[n] for n in ("p1", "q1", "p3", "q4")]
+def assert_merge_preserves_components(parts):
     merged, initials = merge_graphs(parts)
     for g, init in zip(parts, initials):
         assert merged.weak_barbs(init) == g.weak_barbs(g.initial)
         assert merged.may_diverge(init) == g.may_diverge(g.initial)
         assert merged.weak_reaches_zero(init) == g.weak_reaches_zero(g.initial)
+
+
+def test_merge_preserves_component_behaviour(graphs):
+    assert_merge_preserves_components([graphs[n] for n in ("p1", "q1", "p3", "q4")])
+
+
+@given(st.lists(contract_graphs(), min_size=2, max_size=3))
+def test_merge_preserves_behaviour_of_arbitrary_components(parts):
+    # rooting every component at each of its states in turn checks the
+    # remapped image of every state
+    for k in range(6):
+        rooted = [
+            ContractGraph(g.num_states, k % g.num_states, g.edges, g.zero)
+            for g in parts
+        ]
+        assert_merge_preserves_components(rooted)
+
+
+# -- tables against their definitions -----------------------------------------------
+
+
+@given(contract_graphs())
+def test_graph_tables_match_their_definitions(g):
+    for s in range(g.num_states):
+        labels = [lab for lab, _ in g.out_edges(s)]
+        assert g.barbs(s) == BarbSet(
+            frozenset(lab.name for lab in labels if lab.kind == INPUT),
+            frozenset(lab.name for lab in labels if lab.kind == OUTPUT),
+        )
+        ins, outs = weak_barbs_brute(g, s)
+        assert g.weak_barbs(s) == BarbSet(frozenset(ins), frozenset(outs))
+        assert g.weak_reaches_zero(s) == reaches_zero_brute(g, s)
+        assert g.may_diverge(s) == diverges_brute(g, s)
+        assert g.tau_closure(s) == tau_closure_brute(g, s)
 
 
 # -- graph kernels ------------------------------------------------------------------

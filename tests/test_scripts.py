@@ -1,0 +1,41 @@
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def run_survey(*args):
+    return subprocess.run(
+        [sys.executable, str(SCRIPTS / "relation_survey.py"), *args],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
+def test_relation_survey_runs():
+    done = run_survey("--count", "3", "--seed", "5")
+    assert done.returncode == 0, done.stderr
+    assert "samples: 3" in done.stdout
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--count", "0"], "--count must be positive, got 0"),
+        (["--count", "-4"], "--count must be positive, got -4"),
+        (["--alphabet", "a,,b"], "alphabet entry '' is not an action name"),
+        (["--alphabet", "a,tau"], "alphabet entry 'tau' is not an action name"),
+        (["--max-depth", "-1"], "max_depth must be non-negative"),
+    ],
+    ids=["count-zero", "count-negative", "empty-name", "reserved-name", "depth"],
+)
+def test_relation_survey_rejects_bad_options(args, message):
+    done = run_survey(*args)
+    assert done.returncode == 2
+    assert message in done.stderr
+    assert "Traceback" not in done.stderr
+    assert done.stdout == ""
