@@ -22,7 +22,7 @@ from pathlib import Path
 
 from . import __version__
 from .composition import DEFAULT_MAX_PAIRS, Composition, PairState, PairUniverse, to_dot
-from .errors import BccError
+from .errors import BccError, ParseError
 from .fixpoint import classify
 from .generator import iter_random_pairs
 from .lang import DEFAULT_MAX_STATES, ContractDef, compile_term, parse
@@ -59,14 +59,19 @@ def _requested_kinds(args) -> tuple:
     return ALL_RELATIONS
 
 
-def _read_source(path) -> str:
-    """Text of a contract file; an unreadable or non-UTF-8 file is an error."""
+def _read_definitions(path) -> list:
+    """The definitions of a contract file.  An unreadable or non-UTF-8 file
+    is an error, and a parse error is prefixed with the file's path."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise BccError(f"cannot read {path}: {exc.strerror or exc}")
     except UnicodeDecodeError as exc:
         raise BccError(f"cannot read {path}: {exc}")
+    try:
+        return parse(text)
+    except ParseError as exc:
+        raise BccError(f"{path}: {exc}")
 
 
 def _load_pair(args) -> list:
@@ -77,7 +82,7 @@ def _load_pair(args) -> list:
     files = (args.client_file, args.server_file)
     for path, name in zip(files, (args.client_name, args.server_name)):
         if path not in parsed:
-            parsed[path] = {d.name: d for d in parse(_read_source(path))}
+            parsed[path] = {d.name: d for d in _read_definitions(path)}
         if name not in parsed[path]:
             raise BccError(f"contract {name!r} is not defined in {path}")
         graphs.append(compile_term(parsed[path][name].term, args.max_states, name=name))
@@ -162,12 +167,7 @@ def _corpus_pairs(corpus_dir: str) -> list:
     defs = {}
     origin = {}
     for path in sorted(directory.glob("*.bc")):
-        text = _read_source(path)
-        try:
-            file_defs = parse(text)
-        except BccError as exc:
-            raise BccError(f"{path}: {exc}")
-        for d in file_defs:
+        for d in _read_definitions(path):
             if d.name in origin:
                 raise BccError(
                     f"{path}: contract {d.name!r} already defined in {origin[d.name]}"

@@ -146,6 +146,9 @@ class PairUniverse:
         self.successful_indices = frozenset(
             i for i, ps in enumerate(self.pairs) if ps.client == zero
         )
+        self.stuck_indices = frozenset(
+            i for i, targets in enumerate(self.successors_idx) if not targets
+        )
 
     @property
     def client_graph(self) -> ContractGraph:
@@ -176,9 +179,6 @@ class PairUniverse:
 
     def is_successful_index(self, i: int) -> bool:
         return i in self.successful_indices
-
-    def is_stuck_index(self, i: int) -> bool:
-        return not self.successors_idx[i]
 
     def __repr__(self) -> str:
         return (

@@ -107,7 +107,7 @@ def greatest_fixpoint(universe: PairUniverse) -> PairSet:
     pair is tau-reachable through unsuccessful pairs."""
     everything = frozenset(range(len(universe)))
     unsuccessful = everything - universe.successful_indices
-    stuck = (i for i in unsuccessful if universe.is_stuck_index(i))
+    stuck = universe.stuck_indices - universe.successful_indices
     return PairSet(
         universe, everything - reach(universe.predecessors_idx, stuck, unsuccessful)
     )

@@ -24,6 +24,10 @@ _PREFIX_SHARE = 0.75
 # attempts at producing a rec body that uses its binder before giving up
 _REC_RETRIES = 8
 
+# largest accepted max_depth: drawing and compiling a term recurse about once
+# (compile's substitution twice) per level, well inside the recursion limit
+MAX_DEPTH = 200
+
 
 class SplitMix64:
     """SplitMix64 PRNG; deterministic and cheap to split."""
@@ -74,6 +78,8 @@ class GenConfig:
             raise ValueError("seed must fit in 64 bits")
         if self.max_depth < 0:
             raise ValueError("max_depth must be non-negative")
+        if self.max_depth > MAX_DEPTH:
+            raise ValueError(f"max_depth must be at most {MAX_DEPTH}")
         if not self.alphabet:
             raise ValueError("alphabet must not be empty")
         for name in self.alphabet:

@@ -13,15 +13,16 @@ possible.  "tau" and "rec" are reserved words.
 
 Compilation interns terms into a table local to each call: a row
 (constructor, label | variable | name, child ids) per distinct term, so each
-unfolding is hashed once and equal terms share one integer id.
+unfolding is hashed once and equal terms share one integer id.  The table is
+one object that nothing refers back to, so it is freed when the call
+returns; walks are its methods or module-level functions, never closures
+that call themselves, which would tie a reference cycle.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cache
-from itertools import repeat
 
 from .errors import (
     DuplicateNameError,
@@ -263,26 +264,78 @@ def pretty(t: Term) -> str:
 def well_formed(t: Term) -> list:
     """Closedness and guardedness violations, in discovery order (empty = ok)."""
     found = {}
-
-    def walk(t, bound, unguarded):
-        if isinstance(t, Var):
-            if t.name not in bound:
-                found.setdefault(Violation("unbound-variable", t.name))
-            elif t.name in unguarded:
-                found.setdefault(Violation("unguarded-recursion", t.name))
-        elif isinstance(t, Prefix):
-            walk(t.body, bound, frozenset())
-        elif isinstance(t, Choice):
-            walk(t.left, bound, unguarded)
-            walk(t.right, bound, unguarded)
-        elif isinstance(t, Rec):
-            walk(t.body, bound | {t.var}, unguarded | {t.var})
-
-    walk(t, frozenset(), frozenset())
+    _check_vars(t, frozenset(), frozenset(), found)
     return list(found)
 
 
+def _check_vars(t, bound, unguarded, found) -> None:
+    if isinstance(t, Var):
+        if t.name not in bound:
+            found.setdefault(Violation("unbound-variable", t.name))
+        elif t.name in unguarded:
+            found.setdefault(Violation("unguarded-recursion", t.name))
+    elif isinstance(t, Prefix):
+        _check_vars(t.body, bound, frozenset(), found)
+    elif isinstance(t, Choice):
+        _check_vars(t.left, bound, unguarded, found)
+        _check_vars(t.right, bound, unguarded, found)
+    elif isinstance(t, Rec):
+        _check_vars(t.body, bound | {t.var}, unguarded | {t.var}, found)
+
+
 # -- compilation ---------------------------------------------------------
+
+
+class _TermTable:
+    """The term table of one compile: row (class, label | var | name, *child
+    ids) <-> int id, with ``subst`` and ``transitions`` memoised on ids."""
+
+    def __init__(self):
+        self.rows = []
+        self.ids = {}
+        self.substituted = {}
+        self.moves = {}
+        self.nil = self.row(Nil, None)
+
+    def row(self, *r) -> int:
+        if r not in self.ids:
+            self.ids[r] = len(self.rows)
+            self.rows.append(r)
+        return self.ids[r]
+
+    def intern(self, t: Term) -> int:
+        if isinstance(t, Prefix):
+            return self.row(Prefix, t.label, self.intern(t.body))
+        if isinstance(t, Choice):
+            return self.row(Choice, None, self.intern(t.left), self.intern(t.right))
+        if isinstance(t, Rec):
+            return self.row(Rec, t.var, self.intern(t.body))
+        return self.nil if isinstance(t, Nil) else self.row(Var, t.name)
+
+    def subst(self, u: int, rec: int) -> int:
+        """Row u with the variable bound by Rec row ``rec`` replaced by it."""
+        cls, data, *kids = self.rows[u]
+        var = self.rows[rec][1]
+        if cls is Var and data == var:
+            return rec
+        if cls in (Nil, Var) or (cls is Rec and data == var):
+            return u  # no variable to replace, or shadowed
+        if (u, rec) not in self.substituted:
+            kids = [self.subst(k, rec) for k in kids]
+            self.substituted[u, rec] = self.row(cls, data, *kids)
+        return self.substituted[u, rec]
+
+    def transitions(self, u: int) -> tuple:
+        """Initial (label, target id) moves, deduplicated, ordered by label."""
+        cls, data, *kids = self.rows[u]
+        if cls is Prefix:
+            return ((data, kids[0]),)
+        if cls is Choice and u not in self.moves:
+            both = self.transitions(kids[0]) + self.transitions(kids[1])
+            self.moves[u] = tuple(sorted(dict.fromkeys(both), key=lambda m: m[0]))
+        elif cls is Rec and u not in self.moves:
+            self.moves[u] = self.transitions(self.subst(kids[0], u))
+        return self.moves.get(u, ())
 
 
 def compile_term(
@@ -300,48 +353,8 @@ def compile_term(
     violations = well_formed(term)
     if violations:
         raise IllFormedError(violations)
-    # the term table of this call: row (class, label | var | name, *child
-    # ids) <-> int id, so equal terms share one id and compare as ints
-    rows = []
-    ids = {}
-
-    def row(*r):
-        if r not in ids:
-            ids[r] = len(rows)
-            rows.append(r)
-        return ids[r]
-
-    def intern(t):
-        if isinstance(t, Prefix):
-            return row(Prefix, t.label, intern(t.body))
-        if isinstance(t, Choice):
-            return row(Choice, None, intern(t.left), intern(t.right))
-        if isinstance(t, Rec):
-            return row(Rec, t.var, intern(t.body))
-        return nil if isinstance(t, Nil) else row(Var, t.name)
-
-    @cache
-    def subst(u, rec):
-        """Row u with the variable bound by Rec row ``rec`` replaced by it."""
-        cls, data, *kids = rows[u]
-        if cls is Var and data == rows[rec][1]:
-            return rec
-        if cls in (Nil, Var) or (cls is Rec and data == rows[rec][1]):
-            return u  # no variable to replace, or shadowed
-        return row(cls, data, *map(subst, kids, repeat(rec)))
-
-    @cache
-    def transitions(u):
-        """Initial (label, target id) moves, deduplicated, ordered by label."""
-        cls, data, *kids = rows[u]
-        if cls is Prefix:
-            return ((data, kids[0]),)
-        if cls is Choice:
-            seen = dict.fromkeys(transitions(kids[0]) + transitions(kids[1]))
-            return tuple(sorted(seen, key=lambda m: m[0]))
-        if cls is Rec:
-            return transitions(subst(kids[0], u))
-        return ()
+    table = _TermTable()
+    transitions, nil = table.transitions, table.nil
 
     def key(u):
         return nil if not transitions(u) else u
@@ -349,8 +362,7 @@ def compile_term(
     def successors(u):
         return [key(v) for _, v in transitions(u)]
 
-    nil = row(Nil, None)
-    root = key(intern(term))
+    root = key(table.intern(term))
     record = {}
     if not discover(record, (root,), successors, max_states):
         raise StateExplosionError(

@@ -302,9 +302,7 @@ class ContractGraph:
         )
 
 
-def merge_graphs(
-    graphs: Sequence[ContractGraph], name: str = ""
-) -> tuple:
+def merge_graphs(graphs: Sequence[ContractGraph]) -> tuple:
     """Disjoint union of graphs sharing one success state.
 
     The component success states are identified and become state 0 of the
@@ -324,7 +322,5 @@ def merge_graphs(
         initials.append(ids[g.initial])
         edges.extend((ids[s], lab, ids[t]) for s, lab, t in g.edges)
         base += g.num_states - (g.zero is not None)
-    merged = ContractGraph(
-        base, initials[0], edges, 0 if any_zero else None, name=name
-    )
+    merged = ContractGraph(base, initials[0], edges, 0 if any_zero else None)
     return merged, tuple(initials)

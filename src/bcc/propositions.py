@@ -46,36 +46,23 @@ def verify_universe(universe: PairUniverse, sets=None) -> list:
     pairs when a check fails."""
     if sets is None:
         sets = relation_sets(universe)
-    reports = []
-
-    lfp = least_fixpoint(universe)
-    must = sets[RelationKind.MUST]
-    reports.append(_report("least-fixpoint-is-must", (lfp - must) | (must - lfp)))
-
-    gfp = greatest_fixpoint(universe)
-    progress = sets[RelationKind.PROGRESS]
-    reports.append(
-        _report(
-            "greatest-fixpoint-is-progress", (gfp - progress) | (progress - gfp)
-        )
-    )
-
-    for kind in (RelationKind.SHOULD, RelationKind.BEH):
-        x = sets[kind]
-        fx = compliance_step(x)
-        reports.append(_report(f"{kind.value}-is-fixed", (fx - x) | (x - fx)))
+    lfp, gfp = least_fixpoint(universe), greatest_fixpoint(universe)
+    # (name, x, y): the proposition x == y
+    equalities = [
+        ("least-fixpoint-is-must", lfp, sets[RelationKind.MUST]),
+        ("greatest-fixpoint-is-progress", gfp, sets[RelationKind.PROGRESS]),
+    ] + [
+        (f"{kind.value}-is-fixed", compliance_step(sets[kind]), sets[kind])
+        for kind in (RelationKind.SHOULD, RelationKind.BEH)
+    ]
+    reports = [_report(name, (x - y) | (y - x)) for name, x, y in equalities]
 
     io = sets[RelationKind.IO]
     reports.append(_report("io-is-post-fixed", io - compliance_step(io)))
-
     may = sets[RelationKind.MAY]
     reports.append(_report("may-is-pre-fixed", compliance_step(may) - may))
-
-    for smaller, larger in INCLUSIONS:
-        reports.append(
-            _report(
-                f"{smaller.value}-implies-{larger.value}",
-                sets[smaller] - sets[larger],
-            )
-        )
+    reports += [
+        _report(f"{smaller.value}-implies-{larger.value}", sets[smaller] - sets[larger])
+        for smaller, larger in INCLUSIONS
+    ]
     return reports

@@ -4,8 +4,8 @@ Each relation is decided over the tau-closed universe of the composition as
 one reachability question: which pairs can reach the relation's target set
 (its violations; for may-testing, success).  The same search decides a
 single root and yields its witness.  All relations requested for one root
-share its stuck set and its BFS, which runs at most twice: over the whole
-universe, and inside the unsuccessful pairs (Must).
+share the universe's stuck set and the root's BFS, which runs at most
+twice: over the whole universe, and inside the unsuccessful pairs (Must).
 
 Validation happens at the public entry points: ``evaluate`` builds its
 universe from valid graphs and ``verdict_at`` looks its root up.  The set
@@ -58,12 +58,6 @@ class Verdict:
 # -- per-universe set evaluators ------------------------------------------
 
 
-def _stuck_indices(universe: PairUniverse) -> frozenset:
-    return frozenset(
-        i for i, targets in enumerate(universe.successors_idx) if not targets
-    )
-
-
 def _beh_violations(universe: PairUniverse, progress: frozenset) -> frozenset:
     reaches_zero = universe.client_graph._reaches_zero
     diverging = universe.server_graph._diverging
@@ -90,12 +84,13 @@ def _io_violations(universe: PairUniverse) -> frozenset:
     return frozenset(bad)
 
 
-def _targets(universe: PairUniverse, kind: RelationKind, stuck: frozenset) -> tuple:
+def _targets(universe: PairUniverse, kind: RelationKind) -> tuple:
     """The relation's search: ``(targets, unsuccessful_only)``.  The
     relation holds at a pair iff no target is tau-reachable from it (along
     unsuccessful pairs only, when the flag is set); may-testing holds iff
-    one is.  ``stuck`` is the universe's set of pairs without tau-moves."""
+    one is."""
     successful = universe.successful_indices
+    stuck = universe.stuck_indices
     if kind is RelationKind.PROGRESS:
         return stuck - successful, False
     if kind is RelationKind.MAY:
@@ -120,7 +115,7 @@ def _targets(universe: PairUniverse, kind: RelationKind, stuck: frozenset) -> tu
 def holding_indices(universe: PairUniverse, kind: RelationKind) -> frozenset:
     """Indices of the pairs at which the relation holds, each judged over
     the sub-universe reachable from that pair."""
-    targets, unsuccessful_only = _targets(universe, kind, _stuck_indices(universe))
+    targets, unsuccessful_only = _targets(universe, kind)
     everything = frozenset(range(len(universe)))
     within = everything - universe.successful_indices if unsuccessful_only else None
     reaching = reach(universe.predecessors_idx, targets, within)
@@ -183,14 +178,14 @@ def _lasso_extension(universe, start: int, pool) -> list:
 
 
 def _verdicts(universe: PairUniverse, root_idx: int, kinds) -> dict:
-    """Decide the relations of ``kinds`` at one root.  The stuck set is
-    computed once, and the BFS from the root runs at most once per search
-    region: everywhere, and inside the unsuccessful pairs (Must)."""
-    stuck = _stuck_indices(universe)
+    """Decide the relations of ``kinds`` at one root.  The BFS from the
+    root runs at most once per search region: everywhere, and inside the
+    unsuccessful pairs (Must)."""
+    stuck = universe.stuck_indices
     regions = {}
     verdicts = {}
     for kind in kinds:
-        targets, unsuccessful_only = _targets(universe, kind, stuck)
+        targets, unsuccessful_only = _targets(universe, kind)
         if unsuccessful_only not in regions:
             avoid = universe.successful_indices if unsuccessful_only else ()
             regions[unsuccessful_only] = _distances(universe, root_idx, avoid)

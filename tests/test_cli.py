@@ -178,6 +178,21 @@ def test_check_non_utf8_file_exits_two(capsys, tmp_path):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("broken_side", ["client", "server"])
+@pytest.mark.parametrize("command", ["check", "dot"])
+def test_parse_error_names_the_file(capsys, tmp_path, broken_side, command):
+    good, broken = tmp_path / "good.bc", tmp_path / "broken.bc"
+    good.write_text("p = !a.0\nq = ?a.0\n")
+    broken.write_text("p = !a.\nq = ?a.0\n")
+    client, server = (broken, good) if broken_side == "client" else (good, broken)
+    out_path = [str(tmp_path / "u.dot")] if command == "dot" else []
+    argv = [command, str(client), "p", str(server), "q", *out_path]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {broken}: 1:8: expected a term, found 'end of line'\n"
+
+
 def run_quietly(argv):
     """main(argv) with its output captured; an escaping exception fails the
     calling test."""

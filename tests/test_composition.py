@@ -197,6 +197,9 @@ def test_universe_is_tau_closed(seed):
     for ps in universe:
         for t in composition.tau_successors(ps):
             assert t in universe
+    assert universe.stuck_indices == {
+        i for i, t in enumerate(universe.successors_idx) if not t
+    }
 
 
 def assert_universe_successors_match_oracle(universe):

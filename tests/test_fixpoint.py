@@ -64,7 +64,7 @@ def test_step_of_full_universe_drops_stuck_unsuccessful_pairs(graphs):
     expected = {
         i
         for i in range(len(universe))
-        if universe.is_successful_index(i) or not universe.is_stuck_index(i)
+        if universe.is_successful_index(i) or universe.successors_idx[i]
     }
     assert result.indices == expected
 

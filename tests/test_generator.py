@@ -4,6 +4,7 @@ from hypothesis import given, settings
 
 from bcc import Choice, Nil, Prefix, Rec, Var, compile_term, well_formed
 from bcc.generator import (
+    MAX_DEPTH,
     GenConfig,
     SplitMix64,
     iter_random_pairs,
@@ -48,6 +49,13 @@ def test_config_validation():
         GenConfig(seed=-1)
     with pytest.raises(ValueError):
         GenConfig(seed=0, max_depth=-2)
+
+
+def test_config_bounds_max_depth_from_above():
+    # only configured here: drawing terms this deep is slow
+    assert GenConfig(seed=0, max_depth=MAX_DEPTH).max_depth == MAX_DEPTH
+    with pytest.raises(ValueError, match=f"max_depth must be at most {MAX_DEPTH}"):
+        GenConfig(seed=0, max_depth=MAX_DEPTH + 1)
 
 
 @pytest.mark.parametrize("name", ["tau", "rec", "a b", "1x", "", "?a", "_a", 7])

@@ -1,3 +1,5 @@
+import gc
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
@@ -23,7 +25,7 @@ from bcc import (
     pretty,
     well_formed,
 )
-from bcc.generator import GenConfig, random_contract
+from bcc.generator import GenConfig, random_contract, random_pairs
 from oracles import reference_compile
 
 
@@ -287,3 +289,18 @@ def test_compile_hashes_no_term(monkeypatch):
     for cls in (Nil, Prefix, Choice, Rec, Var):
         monkeypatch.setattr(cls, "__hash__", refuse)
     assert [compile_term(d.term, name=d.name) for d in defs] == expected
+
+
+def test_compile_leaves_no_cyclic_garbage():
+    # a compile's term table is freed by reference counting when it returns
+    terms = [d.term for d in corpus.example_definitions()]
+    terms += [t for pair in random_pairs(1, 100) for t in pair]
+    terms += [parse_term("!a." * 600 + "0"), parse_term("rec X.rec Y.(!a.X + ?b.Y)")]
+    gc.collect()
+    gc.disable()
+    try:
+        for term in terms:
+            compile_term(term)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

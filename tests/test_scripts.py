@@ -30,8 +30,16 @@ def test_relation_survey_runs():
         (["--alphabet", "a,,b"], "alphabet entry '' is not an action name"),
         (["--alphabet", "a,tau"], "alphabet entry 'tau' is not an action name"),
         (["--max-depth", "-1"], "max_depth must be non-negative"),
+        (["--max-depth", "1500"], "max_depth must be at most 200"),
     ],
-    ids=["count-zero", "count-negative", "empty-name", "reserved-name", "depth"],
+    ids=[
+        "count-zero",
+        "count-negative",
+        "empty-name",
+        "reserved-name",
+        "depth",
+        "depth-too-large",
+    ],
 )
 def test_relation_survey_rejects_bad_options(args, message):
     done = run_survey(*args)
