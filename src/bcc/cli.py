@@ -12,6 +12,7 @@ Exit codes: 0 everything holds, 1 some check fails, 2 error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -320,7 +321,7 @@ def _cmd_dot(args) -> int:
     root = PairState(client.initial, server.initial)
     universe = composition.build_universe([root], args.max_pairs)
     try:
-        Path(args.out_path).write_text(to_dot(universe))
+        Path(args.out_path).write_text(to_dot(universe), encoding="utf-8")
     except OSError as exc:
         raise BccError(f"cannot write {args.out_path}: {exc.strerror or exc}")
     return 0
@@ -329,6 +330,7 @@ def _cmd_dot(args) -> int:
 # -- parser -----------------------------------------------------------------
 
 
+@functools.cache  # one parser per process, built on first use; never mutated
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bcc",

@@ -3,7 +3,9 @@
 Randomness comes from SplitMix64, a splittable counter-based generator: a
 64-bit Weyl sequence fed through a mixing finaliser.  Same seed, same term;
 child generators are derived by drawing a fresh seed, so corpora are
-reproducible from a single root seed.
+reproducible from a single root seed.  Each draw keeps its state (config,
+generator, prefixes, binder counter, kept Var uses) in one private ``_Draw``
+object that nothing refers back to, so reference counting frees it on return.
 """
 
 from __future__ import annotations
@@ -95,46 +97,52 @@ class GenConfig:
             )
 
 
-def random_contract(cfg: GenConfig) -> Term:
-    """A closed, guarded term; a deterministic function of cfg."""
-    rng = SplitMix64(cfg.seed)
-    prefixes = [TAU] + [make(a) for a in cfg.alphabet for make in (inp, out)]
-    binders = (f"X{i}" for i in itertools.count(1))
-    uses = []  # the variable of every kept Var leaf, in drawing order
+class _Draw:
+    """The state of one ``random_contract`` call (see the module docstring)."""
 
-    def terminal(guarded):
-        i = rng.randrange(len(guarded) + 1)
+    def __init__(self, cfg: GenConfig):
+        self.cfg = cfg
+        self.rng = SplitMix64(cfg.seed)
+        self.prefixes = [TAU] + [make(a) for a in cfg.alphabet for make in (inp, out)]
+        self.binders = (f"X{i}" for i in itertools.count(1))
+        self.uses = []  # the variable of every kept Var leaf, in drawing order
+
+    def terminal(self, guarded):
+        i = self.rng.randrange(len(guarded) + 1)
         if i:
-            uses.append(sorted(guarded)[i - 1])
-            return Var(uses[-1])
+            self.uses.append(sorted(guarded)[i - 1])
+            return Var(self.uses[-1])
         return Nil()
 
-    def gen(depth, guarded, unguarded):
+    def gen(self, depth, guarded, unguarded):
         if depth == 0:
-            return terminal(guarded)
-        roll = rng.random()
+            return self.terminal(guarded)
+        cfg, uses = self.cfg, self.uses
+        roll = self.rng.random()
         if roll < cfg.rec_probability and depth >= 2:
-            var = next(binders)
+            var = next(self.binders)
             for _ in range(_REC_RETRIES):
                 mark = len(uses)
-                body = gen(depth - 1, guarded, unguarded | {var})
+                body = self.gen(depth - 1, guarded, unguarded | {var})
                 if var in uses[mark:]:  # binders are fresh: var occurs free
                     return Rec(var, body)
                 del uses[mark:]
             # binder stayed unused; fall through to a plain prefix
         elif roll < cfg.rec_probability + cfg.choice_probability:
             return Choice(
-                gen(depth - 1, guarded, unguarded),
-                gen(depth - 1, guarded, unguarded),
+                self.gen(depth - 1, guarded, unguarded),
+                self.gen(depth - 1, guarded, unguarded),
             )
         threshold = cfg.rec_probability + cfg.choice_probability
         if roll < threshold + (1.0 - threshold) * _PREFIX_SHARE:
-            return Prefix(
-                rng.choice(prefixes), gen(depth - 1, guarded | unguarded, set())
-            )
-        return terminal(guarded)
+            label = self.rng.choice(self.prefixes)  # drawn before the body
+            return Prefix(label, self.gen(depth - 1, guarded | unguarded, set()))
+        return self.terminal(guarded)
 
-    return gen(cfg.max_depth, set(), set())
+
+def random_contract(cfg: GenConfig) -> Term:
+    """A closed, guarded term; a deterministic function of cfg."""
+    return _Draw(cfg).gen(cfg.max_depth, set(), set())
 
 
 def iter_random_pairs(seed: int, count: int, **cfg_kwargs):

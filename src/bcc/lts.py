@@ -195,8 +195,8 @@ class ContractGraph:
         self.initial = initial
         self.zero = zero
         self.name = name
-        # canonical order: (source, label kind, action name, target)
-        self.edges = tuple(sorted(set((s, lab, t) for (s, lab, t) in edges)))
+        # sorted by (source, label kind, action name, target); keeps caller tuples
+        self.edges = tuple(sorted(set(map(tuple, edges))))
 
         outgoing = [[] for _ in range(num_states)]
         tau_pred = [[] for _ in range(num_states)]

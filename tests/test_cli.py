@@ -1,6 +1,10 @@
 import contextlib
+import gc
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -8,7 +12,9 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+from bcc import Composition, PairState, corpus
 from bcc.cli import main
+from bcc.composition import DEFAULT_MAX_PAIRS, to_dot
 from bcc.corpus import EXAMPLES_SOURCE
 
 
@@ -408,3 +414,53 @@ def test_dot_write_error_exits_two(capsys, corpus_file, tmp_path):
     )
     assert code == 2
     assert "cannot write" in err
+
+
+def test_dot_writes_utf8_under_an_ascii_locale(corpus_file, tmp_path):
+    # node names contain "‖", which the C locale's ASCII codec cannot encode
+    out_path = tmp_path / "u.dot"
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "bcc.cli", "dot", corpus_file, "p2", corpus_file,
+         "q2", str(out_path)],
+        capture_output=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0 and b"Traceback" not in done.stderr, done.stderr
+    graphs = corpus.example_graphs()
+    client, server = graphs["p2"], graphs["q2"]
+    universe = Composition(client, server).build_universe(
+        [PairState(client.initial, server.initial)], DEFAULT_MAX_PAIRS
+    )
+    assert out_path.read_bytes() == to_dot(universe).encode("utf-8")
+
+
+# -- garbage ------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "{file}", "p1", "{file}", "q1"],
+        ["matrix", "{dir}"],
+        ["verify-propositions", "{dir}", "--random", "5", "--seed", "1"],
+        ["dot", "{file}", "p2", "{file}", "q2", "{out}"],
+        ["check", "{file}", "nope", "{file}", "q1"],
+    ],
+    ids=["check", "matrix", "verify", "dot", "unknown-contract"],
+)
+def test_warm_human_commands_leave_no_cyclic_garbage(argv, corpus_dir, tmp_path):
+    # one parser per process, and every call's state is freed by reference
+    # counting when main returns
+    paths = {"file": str(Path(corpus_dir) / "examples.bc"), "dir": corpus_dir,
+             "out": str(tmp_path / "u.dot")}
+    argv = [arg.format(**paths) for arg in argv]
+    code = run_quietly(argv)[0]
+    gc.collect()
+    gc.disable()
+    try:
+        assert run_quietly(argv)[0] == code
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
