@@ -93,9 +93,10 @@ def _load_pair(args) -> list:
 def _emit(report: dict, as_json: bool, human_lines, timing_ms: float) -> None:
     if as_json:
         print(json.dumps(report, indent=2, sort_keys=True))
-    else:
+    else:  # escape what the stream cannot encode, e.g. "‖" under the C locale
+        encoding = getattr(sys.stdout, "encoding", None) or "utf-8"
         for line in human_lines:
-            print(line)
+            print(line.encode(encoding, "backslashreplace").decode(encoding))
         print(f"elapsed: {timing_ms:.1f} ms")
 
 

@@ -11,6 +11,12 @@ Grammar (one definition per line, '#' starts a comment):
 Prefix binds tighter than "+"; "rec" extends to the right as far as
 possible.  "tau" and "rec" are reserved words.
 
+A line is tokenized whole, so a bad character wins over any syntax error,
+and then parsed by one loop, not one call per grammar rule: a stack holds
+the enclosing open "(" and "rec X." bodies, each with its rec variable, the
+prefixes pending on its item and its left operand, so parenthesis depth is
+bounded by memory alone.  ``well_formed`` walks an explicit stack too.
+
 Compilation interns terms into a table local to each call: a row
 (constructor, label | variable | name, child ids) per distinct term, so each
 unfolding is hashed once and equal terms share one integer id.  The table is
@@ -118,81 +124,68 @@ def _tokenize(text: str, line_no: int) -> list:
     return tokens
 
 
-class _TermParser:
-    def __init__(self, tokens):
-        self.tokens = tokens
-        self.pos = 0
+def _fail(token, what) -> ParseError:
+    _, text, line, col = token
+    return ParseError(f"expected {what}, found {text or 'end of line'!r}", line, col)
 
-    def peek(self):
-        return self.tokens[self.pos]
 
-    def advance(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+def _end(tokens, pos, what) -> None:
+    kind, text, line, col = tokens[pos]
+    if kind != "eof":
+        raise ParseError(f"unexpected {text!r} after {what}", line, col)
 
-    def expect_punct(self, ch):
-        kind, text, line, col = self.advance()
-        if kind != "punct" or text != ch:
-            raise ParseError(
-                f"expected {ch!r}, found {text or 'end of line'!r}", line, col
-            )
 
-    def expect_name(self, what):
-        kind, text, line, col = self.advance()
-        if kind != "name":
-            raise ParseError(
-                f"expected {what}, found {text or 'end of line'!r}", line, col
-            )
-        return text
-
-    def term(self) -> Term:
-        t = self.item()
-        while self.peek()[:2] == ("punct", "+"):
-            self.advance()
-            t = Choice(t, self.item())
-        return t
-
-    def item(self) -> Term:
-        kind, text, _, _ = self.peek()
-        if kind == "rec":
-            self.advance()
-            var = self.expect_name("a recursion variable")
-            self.expect_punct(".")
-            return Rec(var, self.term())
-        if kind == "tau":
-            self.advance()
-            self.expect_punct(".")
-            return Prefix(TAU, self.item())
-        if kind == "punct" and text in "?!":
-            self.advance()
-            name = self.expect_name("an action name")
-            self.expect_punct(".")
-            return Prefix(inp(name) if text == "?" else out(name), self.item())
-        return self.atom()
-
-    def atom(self) -> Term:
-        kind, text, line, col = self.advance()
-        if kind == "zero":
-            return Nil()
-        if kind == "name":
-            return Var(text)
-        if kind == "punct" and text == "(":
-            t = self.term()
-            self.expect_punct(")")
-            return t
-        raise ParseError(
-            f"expected a term, found {text or 'end of line'!r}", line, col
-        )
+def _term(tokens, pos) -> tuple:
+    """The term starting at ``tokens[pos]`` and the position after it."""
+    frames = []  # the open "(" and "rec X." bodies around the current one
+    var, prefixes, left = None, [], None
+    while True:
+        kind, text, _, _ = tokens[pos]
+        pos += 1
+        if kind == "zero" or kind == "name":
+            t = Nil() if kind == "zero" else Var(text)
+            while True:  # t completes an item of the current frame
+                for label in reversed(prefixes):
+                    t = Prefix(label, t)
+                prefixes, left = [], t if left is None else Choice(left, t)
+                if tokens[pos][1] == "+":
+                    pos += 1
+                    break
+                if not frames:
+                    return left, pos
+                if var is not None:
+                    t = Rec(var, left)
+                elif tokens[pos][1] == ")":
+                    pos, t = pos + 1, left
+                else:
+                    raise _fail(tokens[pos], "')'")
+                var, prefixes, left = frames.pop()
+            continue
+        name = None
+        if text in ("rec", "tau", "?", "!"):  # "rec X.", "tau.", "?a." or "!a."
+            if text != "tau":
+                if tokens[pos][0] != "name":
+                    what = "a recursion variable" if text == "rec" else "an action name"
+                    raise _fail(tokens[pos], what)
+                name, pos = tokens[pos][1], pos + 1
+            if tokens[pos][1] != ".":
+                raise _fail(tokens[pos], "'.'")
+            pos += 1
+            if text != "rec":
+                label = TAU if name is None else inp(name) if text == "?" else out(name)
+                prefixes.append(label)
+                continue
+        elif text != "(":
+            raise _fail(tokens[pos - 1], "a term")
+        frames.append((var, prefixes, left))
+        var, prefixes, left = name, [], None
 
 
 def parse_term(text: str) -> Term:
     """Parse a single term (newlines are treated as spaces)."""
-    parser = _TermParser(_tokenize(text.replace("\n", " "), 1))
-    t = parser.term()
-    kind, text_, line, col = parser.peek()
-    if kind != "eof":
-        raise ParseError(f"unexpected {text_!r} after term", line, col)
+    tokens = _tokenize(text.replace("\n", " "), 1)
+    t, pos = _term(tokens, 0)
+    _end(tokens, pos, "term")
     return t
 
 
@@ -205,13 +198,13 @@ def parse(text: str) -> list:
         if not stripped.strip():
             continue
         tokens = _tokenize(stripped, line_no)
-        parser = _TermParser(tokens)
-        name = parser.expect_name("a contract name")
-        parser.expect_punct("=")
-        term = parser.term()
-        kind, text_, line, col = parser.peek()
-        if kind != "eof":
-            raise ParseError(f"unexpected {text_!r} after definition", line, col)
+        if tokens[0][0] != "name":
+            raise _fail(tokens[0], "a contract name")
+        if tokens[1][1] != "=":
+            raise _fail(tokens[1], "'='")
+        term, pos = _term(tokens, 2)
+        _end(tokens, pos, "definition")
+        name = tokens[0][1]
         if name in first_line:
             raise DuplicateNameError(
                 f"duplicate contract name {name!r} "
@@ -264,23 +257,22 @@ def pretty(t: Term) -> str:
 def well_formed(t: Term) -> list:
     """Closedness and guardedness violations, in discovery order (empty = ok)."""
     found = {}
-    _check_vars(t, frozenset(), frozenset(), found)
+    stack = [(t, frozenset(), frozenset())]
+    while stack:
+        t, bound, unguarded = stack.pop()
+        if isinstance(t, Var):
+            if t.name not in bound:
+                found.setdefault(Violation("unbound-variable", t.name))
+            elif t.name in unguarded:
+                found.setdefault(Violation("unguarded-recursion", t.name))
+        elif isinstance(t, Prefix):
+            stack.append((t.body, bound, frozenset()))
+        elif isinstance(t, Choice):
+            stack.append((t.right, bound, unguarded))  # so the left is seen first
+            stack.append((t.left, bound, unguarded))
+        elif isinstance(t, Rec):
+            stack.append((t.body, bound | {t.var}, unguarded | {t.var}))
     return list(found)
-
-
-def _check_vars(t, bound, unguarded, found) -> None:
-    if isinstance(t, Var):
-        if t.name not in bound:
-            found.setdefault(Violation("unbound-variable", t.name))
-        elif t.name in unguarded:
-            found.setdefault(Violation("unguarded-recursion", t.name))
-    elif isinstance(t, Prefix):
-        _check_vars(t.body, bound, frozenset(), found)
-    elif isinstance(t, Choice):
-        _check_vars(t.left, bound, unguarded, found)
-        _check_vars(t.right, bound, unguarded, found)
-    elif isinstance(t, Rec):
-        _check_vars(t.body, bound | {t.var}, unguarded | {t.var}, found)
 
 
 # -- compilation ---------------------------------------------------------

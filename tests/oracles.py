@@ -10,8 +10,13 @@ with the library is meaningful.
 ``reference_compile`` is the compiler by plain Term substitution, with the
 frozen dataclasses' own structural hashing merging equal unfoldings; the
 library's table of interned integer rows must produce the same graphs.
+
+``reference_parse`` and ``reference_parse_term`` are the recursive-descent
+parser, one method per grammar rule; the library's single parse loop must
+return the same definitions and raise the same errors at the same positions.
 """
 
+import re
 from collections import deque
 
 from bcc import (
@@ -26,8 +31,11 @@ from bcc import (
     Rec,
     StateExplosionError,
     Var,
+    inp,
+    out,
 )
-from bcc.lang import DEFAULT_MAX_STATES
+from bcc.errors import DuplicateNameError, ParseError
+from bcc.lang import DEFAULT_MAX_STATES, ContractDef, Term
 
 
 def edge_targets(graph, state, label):
@@ -365,3 +373,142 @@ def reference_compile(term, max_states=DEFAULT_MAX_STATES):
         for lab, v in _transitions(u, memo):
             edges.append((ids[u], lab, ids[key(v)]))
     return ContractGraph(next_id, ids[root], edges, 0 if has_nil else None)
+
+
+# -- reference parser ----------------------------------------------------------
+
+_NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+_RESERVED = ("tau", "rec")
+
+
+def _tokenize(text: str, line_no: int) -> list:
+    tokens = []
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch in " \t":
+            i += 1
+            continue
+        col = i + 1
+        if ch == "0":
+            tokens.append(("zero", "0", line_no, col))
+            i += 1
+        elif ch in "?!.+()=":
+            tokens.append(("punct", ch, line_no, col))
+            i += 1
+        else:
+            m = _NAME_RE.match(text, i)
+            if not m:
+                raise ParseError(f"unexpected character {ch!r}", line_no, col)
+            word = m.group()
+            kind = word if word in _RESERVED else "name"
+            tokens.append((kind, word, line_no, col))
+            i = m.end()
+    tokens.append(("eof", "", line_no, len(text) + 1))
+    return tokens
+
+
+class _TermParser:
+    def __init__(self, tokens):
+        self.tokens = tokens
+        self.pos = 0
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def advance(self):
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def expect_punct(self, ch):
+        kind, text, line, col = self.advance()
+        if kind != "punct" or text != ch:
+            raise ParseError(
+                f"expected {ch!r}, found {text or 'end of line'!r}", line, col
+            )
+
+    def expect_name(self, what):
+        kind, text, line, col = self.advance()
+        if kind != "name":
+            raise ParseError(
+                f"expected {what}, found {text or 'end of line'!r}", line, col
+            )
+        return text
+
+    def term(self) -> Term:
+        t = self.item()
+        while self.peek()[:2] == ("punct", "+"):
+            self.advance()
+            t = Choice(t, self.item())
+        return t
+
+    def item(self) -> Term:
+        kind, text, _, _ = self.peek()
+        if kind == "rec":
+            self.advance()
+            var = self.expect_name("a recursion variable")
+            self.expect_punct(".")
+            return Rec(var, self.term())
+        if kind == "tau":
+            self.advance()
+            self.expect_punct(".")
+            return Prefix(TAU, self.item())
+        if kind == "punct" and text in "?!":
+            self.advance()
+            name = self.expect_name("an action name")
+            self.expect_punct(".")
+            return Prefix(inp(name) if text == "?" else out(name), self.item())
+        return self.atom()
+
+    def atom(self) -> Term:
+        kind, text, line, col = self.advance()
+        if kind == "zero":
+            return Nil()
+        if kind == "name":
+            return Var(text)
+        if kind == "punct" and text == "(":
+            t = self.term()
+            self.expect_punct(")")
+            return t
+        raise ParseError(
+            f"expected a term, found {text or 'end of line'!r}", line, col
+        )
+
+
+def reference_parse_term(text: str) -> Term:
+    """Parse a single term (newlines are treated as spaces)."""
+    parser = _TermParser(_tokenize(text.replace("\n", " "), 1))
+    t = parser.term()
+    kind, text_, line, col = parser.peek()
+    if kind != "eof":
+        raise ParseError(f"unexpected {text_!r} after term", line, col)
+    return t
+
+
+def reference_parse(text: str) -> list:
+    """Parse a contract file into its definitions, in source order."""
+    defs = []
+    first_line = {}
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        stripped = raw.split("#", 1)[0]
+        if not stripped.strip():
+            continue
+        tokens = _tokenize(stripped, line_no)
+        parser = _TermParser(tokens)
+        name = parser.expect_name("a contract name")
+        parser.expect_punct("=")
+        term = parser.term()
+        kind, text_, line, col = parser.peek()
+        if kind != "eof":
+            raise ParseError(f"unexpected {text_!r} after definition", line, col)
+        if name in first_line:
+            raise DuplicateNameError(
+                f"duplicate contract name {name!r} "
+                f"(first defined on line {first_line[name]})",
+                line_no,
+                1,
+            )
+        first_line[name] = line_no
+        defs.append(ContractDef(name, term, line_no))
+    return defs

@@ -146,16 +146,30 @@ def test_check_rejects_non_positive_bounds(capsys, corpus_file, flag, value):
 
 @pytest.mark.parametrize(
     "client",
-    ["!a." * 5000 + "0", "(" * 2000 + "0" + ")" * 2000],
+    ["!a." * 5000 + "0", "(!a." * 2000 + "0" + ")" * 2000],
     ids=["deep-prefix-chain", "deep-parentheses"],
 )
 def test_check_too_deep_input_exits_two(capsys, tmp_path, client):
+    # the parser takes any depth; the compiler still recurses per prefix
     path = tmp_path / "deep.bc"
     path.write_text(f"p = {client}\nq = rec Y.?a.Y\n")
     code, _, err = run(capsys, "check", str(path), "p", str(path), "q", "--all")
     assert code == 2
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+def test_check_deep_parentheses_gets_a_verdict(capsys, tmp_path):
+    path = tmp_path / "deep.bc"
+    path.write_text(f"p = {'(' * 2000}!a.0{')' * 2000}\nq = rec Y.?a.Y\n")
+    code, out, _ = run(
+        capsys, "check", str(path), "p", str(path), "q", "--all", "--json"
+    )
+    assert code == 0
+    (entry,) = json.loads(out)["pairs"]
+    assert entry["verdicts"] == dict.fromkeys(
+        ["pg", "mst", "shd", "beh", "io", "may"], True
+    )
 
 
 @pytest.mark.parametrize("length", [600, 900])
@@ -416,16 +430,22 @@ def test_dot_write_error_exits_two(capsys, corpus_file, tmp_path):
     assert "cannot write" in err
 
 
-def test_dot_writes_utf8_under_an_ascii_locale(corpus_file, tmp_path):
-    # node names contain "‖", which the C locale's ASCII codec cannot encode
-    out_path = tmp_path / "u.dot"
+def run_under_an_ascii_locale(*argv):
+    """Run ``bcc`` in a subprocess whose stdout codec is ASCII."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-m", "bcc.cli", "dot", corpus_file, "p2", corpus_file,
-         "q2", str(out_path)],
+    return subprocess.run(
+        [sys.executable, "-m", "bcc.cli", *argv],
         capture_output=True, env=env, timeout=120,
+    )
+
+
+def test_dot_writes_utf8_under_an_ascii_locale(corpus_file, tmp_path):
+    # node names contain "‖", which the C locale's ASCII codec cannot encode
+    out_path = tmp_path / "u.dot"
+    done = run_under_an_ascii_locale(
+        "dot", corpus_file, "p2", corpus_file, "q2", str(out_path)
     )
     assert done.returncode == 0 and b"Traceback" not in done.stderr, done.stderr
     graphs = corpus.example_graphs()
@@ -434,6 +454,20 @@ def test_dot_writes_utf8_under_an_ascii_locale(corpus_file, tmp_path):
         [PairState(client.initial, server.initial)], DEFAULT_MAX_PAIRS
     )
     assert out_path.read_bytes() == to_dot(universe).encode("utf-8")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["check", "{file}", "p1", "{file}", "q1"], ["matrix", "{dir}"]],
+    ids=["check", "matrix"],
+)
+def test_human_output_under_an_ascii_locale(argv, corpus_dir):
+    # "‖", "✓" and "✗" reach stdout backslash-escaped instead of raising
+    paths = {"file": str(Path(corpus_dir) / "examples.bc"), "dir": corpus_dir}
+    done = run_under_an_ascii_locale(*[arg.format(**paths) for arg in argv])
+    assert b"Traceback" not in done.stderr, done.stderr
+    assert done.returncode == 1  # some relation fails on the corpus
+    assert "p1 ‖ q1" in done.stdout.decode("unicode_escape")
 
 
 # -- garbage ------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from bcc import (
     well_formed,
 )
 from bcc.generator import GenConfig, random_contract, random_pairs
-from oracles import reference_compile
+from oracles import reference_compile, reference_parse, reference_parse_term
 
 
 def test_parse_choice_of_prefixes():
@@ -236,6 +236,77 @@ def test_roundtrip_on_arbitrary_asts(term):
 def test_roundtrip_on_generated_contracts(seed):
     term = random_contract(GenConfig(seed=seed))
     assert parse_term(pretty(term)) == term
+
+
+# -- the parse loop against the recursive-descent reference -------------------
+
+# every token kind, multi-token heads, and characters the tokenizer rejects
+fragments = st.sampled_from(
+    ["0", "?", "!", ".", "+", "(", ")", "=", "a", "b1", "X", "x_y", "rec", "tau",
+     "?a.", "!b.", "tau.", "rec X.", " + ", " ", "\t", "1", "_", "$", "\xe9",
+     "\r", "#"]
+)
+
+
+def splice(text, at, cut, inserted):
+    return text[:at] + "".join(inserted) + text[at + cut :]
+
+
+# plain fragment runs, printed terms (some in parentheses), and printed terms
+# with a slice replaced, which reach the errors deep inside a nearly valid term
+printed = st.one_of(terms.map(pretty), terms.map(lambda t: f"({pretty(t)})"))
+sources = st.one_of(
+    st.lists(fragments, max_size=16).map("".join),
+    printed,
+    st.builds(
+        splice,
+        printed,
+        st.integers(0, 40),
+        st.integers(0, 3),
+        st.lists(fragments, max_size=2),
+    ),
+)
+
+
+def parsed_or_error(parse_fn, text):
+    try:
+        return parse_fn(text)
+    except ParseError as exc:
+        return type(exc), str(exc), exc.line, exc.column
+
+
+@settings(max_examples=500)
+@given(sources, sources)
+def test_parse_matches_reference(first, second):
+    assert parsed_or_error(parse_term, first) == parsed_or_error(
+        reference_parse_term, first
+    )
+    for text in (first, f"p = {first}", f"p = {first}\nq = {second}\np = {second}"):
+        assert parsed_or_error(parse, text) == parsed_or_error(reference_parse, text)
+
+
+def chain_depth(t):
+    """Prefix and Rec levels above a term's innermost body, and that body,
+    counted without recursion (``==`` on deep terms would recurse)."""
+    depth = 0
+    while isinstance(t, (Prefix, Rec)):
+        depth, t = depth + 1, t.body
+    return depth, t
+
+
+def test_parse_takes_any_nesting_depth():
+    assert parse_term("(" * 2000 + "!a.0" + ")" * 2000) == Prefix(out("a"), Nil())
+    assert chain_depth(parse_term("!a." * 5000 + "X")) == (5000, Var("X"))
+    (d,) = parse("p = " + "rec X." * 3000 + "(!a.X)")
+    assert chain_depth(d.term) == (3001, Var("X"))
+
+
+def test_well_formed_takes_any_depth():
+    t = Var("X")
+    for _ in range(5000):
+        t = Prefix(out("a"), t)
+    assert well_formed(t) == [Violation("unbound-variable", "X")]
+    assert chain_depth(t) == (5000, Var("X"))
 
 
 # -- the compiler against the reference compiler ------------------------------
