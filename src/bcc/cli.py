@@ -90,13 +90,18 @@ def _load_pair(args) -> list:
     return graphs
 
 
+def _printable(text: str) -> str:
+    """The text with what stdout cannot encode escaped: "‖" is "\\u2016" in C."""
+    encoding = getattr(sys.stdout, "encoding", None) or "utf-8"
+    return text.encode(encoding, "backslashreplace").decode(encoding)
+
+
 def _emit(report: dict, as_json: bool, human_lines, timing_ms: float) -> None:
     if as_json:
         print(json.dumps(report, indent=2, sort_keys=True))
-    else:  # escape what the stream cannot encode, e.g. "‖" under the C locale
-        encoding = getattr(sys.stdout, "encoding", None) or "utf-8"
+    else:
         for line in human_lines:
-            print(line.encode(encoding, "backslashreplace").decode(encoding))
+            print(_printable(line))
         print(f"elapsed: {timing_ms:.1f} ms")
 
 
@@ -202,19 +207,20 @@ def _compile_pair(client, server, max_states: int) -> list:
 def _cmd_matrix(args) -> int:
     start = time.perf_counter()
     entries = []
-    human = []
-    header = "pair      " + "  ".join(f"{k.value:>3}" for k in ALL_RELATIONS)
-    human.append(header)
+    # UTF-8 output's 10-character pair column and 3-character cells, widened
+    # by what escaping adds to "‖" and the marks (contract names are ASCII)
+    sep = _printable(" ‖ ")
+    marks = {True: _printable(HOLD_MARK), False: _printable(FAIL_MARK)}
+    width, name_width = max(3, *(len(m) + 1 for m in marks.values())), len(sep) + 7
+    codes = "  ".join(f"{k.value:>{width}}" for k in ALL_RELATIONS)
+    human = ["pair".ljust(name_width) + codes]
     all_hold = True
     for client_def, server_def in _corpus_pairs(args.corpus_dir):
         client, server = _compile_pair(client_def, server_def, args.max_states)
         verdicts = evaluate(client, server, max_pairs=args.max_pairs)
         entries.append(_pair_entry(client.name, server.name, verdicts))
-        cells = "  ".join(
-            f"{(HOLD_MARK if verdicts[k].holds else FAIL_MARK):>3}"
-            for k in ALL_RELATIONS
-        )
-        human.append(f"{client.name + ' ‖ ' + server.name:<10}{cells}")
+        cells = "  ".join(f"{marks[verdicts[k].holds]:>{width}}" for k in ALL_RELATIONS)
+        human.append(f"{client.name + sep + server.name:<{name_width}}{cells}")
         all_hold = all_hold and all(v.holds for v in verdicts.values())
     elapsed = (time.perf_counter() - start) * 1000
 

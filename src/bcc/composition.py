@@ -5,15 +5,20 @@ edges (label kept), or the two sides synchronise on dual visible actions,
 which the composition observes as a single tau-step.  A pair is successful
 when its client component is the client graph's success state.
 
-Pairs are validated at the public entry points (``tau_successors``,
-``compose_step``, ``is_successful``, the roots given to ``explore`` and
-``build_universe``).  The universe BFS then reads the graphs' edge tables
-directly: every pair it meets was produced from a valid one.
+Inside, the pair ``(c, s)`` is the int ``c * |S| + s`` (``|S|`` server
+states), and codes sort like the pairs.  The universe BFS, its record and
+its tables work on codes; ``PairState`` objects are built only at the public
+edges: ``tau_successors``, ``compose_step``, the ``pairs`` view (decoded on
+first read), witnesses, reports and DOT.  The public entry points reject a
+component out of range or not an int before coding, so no pair aliases
+another; the BFS then reads the graphs' edge tables directly.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple
+import functools
+from itertools import repeat
+from typing import Iterable, NamedTuple, Optional
 
 from .errors import InvalidPairError, PairExplosionError, UniverseMismatchError
 from .lts import TAU, ContractGraph, discover
@@ -33,15 +38,18 @@ class Composition:
         self.client = client
         self.server = server
 
-    def _check(self, ps: PairState) -> None:
-        c, s = ps
-        if not (
-            isinstance(c, int)
-            and isinstance(s, int)
-            and 0 <= c < self.client.num_states
-            and 0 <= s < self.server.num_states
-        ):
-            raise InvalidPairError(f"pair {ps!r} is not valid for this composition")
+    def _code(self, ps) -> int:
+        """``c * |S| + s`` for a pair of this composition's states; a bool,
+        float, negative or out-of-range component would alias another pair."""
+        c, s = ps if isinstance(ps, tuple) and len(ps) == 2 else (None, None)
+        n = self.server.num_states
+        if type(c) is type(s) is int and 0 <= c < self.client.num_states and 0 <= s < n:
+            return c * n + s
+        raise InvalidPairError(f"pair {ps!r} is not valid for this composition")
+
+    def _pairs(self, codes) -> tuple:
+        widths = repeat(self.server.num_states)
+        return tuple(map(PairState._make, map(divmod, codes, widths)))
 
     def compose_step(self, ps: PairState) -> tuple:
         """All (label, target) moves of the pair, deduplicated, in
@@ -59,43 +67,44 @@ class Composition:
 
     def tau_successors(self, ps: PairState) -> tuple:
         """Targets of the pair's tau-moves (own taus plus synchronisations)."""
-        self._check(ps)
-        return self._tau_targets(ps)
+        return self._pairs(self._tau_targets(self._code(ps)))
 
-    def _tau_targets(self, ps: PairState) -> tuple:
-        # unchecked: ps must be a pair of client and server graph states
-        c, s = ps
-        targets = {PairState(t, s) for t in self.client._tau_adj[c]}
-        targets.update(PairState(c, t) for t in self.server._tau_adj[s])
-        server_out = self.server._out[s]
-        for lab, c2 in self.client._out[c]:
+    def _tau_targets(self, code: int) -> tuple:
+        # unchecked: code must be valid; loops, as a comprehension costs a frame
+        client, server = self.client, self.server
+        n = server.num_states
+        c, s = divmod(code, n)
+        targets = set()
+        for t in client._tau_adj[c]:
+            targets.add(t * n + s)
+        for t in server._tau_adj[s]:
+            targets.add(code - s + t)
+        server_out = server._out[s]
+        for lab, c2 in client._out[c]:
             if lab.kind:
                 # a visible action meets its dual: same name, other kind
                 dual, name = 3 - lab.kind, lab.name
                 for slab, s2 in server_out:
                     if slab.kind == dual and slab.name == name:
-                        targets.add(PairState(c2, s2))
+                        targets.add(c2 * n + s2)
         return tuple(sorted(targets))
 
     def is_successful(self, ps: PairState) -> bool:
-        self._check(ps)
+        self._code(ps)
         return self.client.zero is not None and ps.client == self.client.zero
 
     def is_stuck(self, ps: PairState) -> bool:
         return not self.tau_successors(ps)
 
     def explore(self, record: dict, roots, max_pairs: int) -> bool:
-        """Extend a tau-closed ``record`` (pair -> its tau-successors) to
-        the least tau-closed superset of the roots: ``lts.discover`` under
-        ``max_pairs``, with ties among a pair's successors broken by
-        (client id, server id).  All or nothing: returns False, with the
-        record as it was, when it would grow past the bound, so a caller
-        can try roots one by one against one record.  Roots are validated
-        before any change."""
-        roots = tuple(roots)
-        for r in roots:
-            self._check(r)
-        return discover(record, roots, self._tau_targets, max_pairs)
+        """Extend a tau-closed ``record`` (pair code -> the sorted codes of
+        its tau-successors) to the least tau-closed superset of the roots:
+        ``lts.discover`` under ``max_pairs``.  All or nothing: returns False,
+        with the record as it was, when it would grow past the bound, so a
+        caller can try roots one by one against one record.  Roots are
+        validated before any change."""
+        codes = [self._code(r) for r in roots]
+        return discover(record, codes, self._tau_targets, max_pairs)
 
     def build_universe(
         self, roots: Iterable[PairState], max_pairs: int = DEFAULT_MAX_PAIRS
@@ -113,42 +122,47 @@ class PairUniverse:
     """Finite tau-successor-closed set of pairs: the lattice carrier.
 
     Built from an ``explore`` record; immutable after construction; indices
-    follow the order of ``pairs``.
+    follow the order of ``codes``, and of ``pairs``, their decoded view.
     """
 
     def __init__(self, composition: Composition, record: dict, roots):
         self.composition = composition
-        self.pairs = tuple(record)
+        self.codes = codes = tuple(record)
         self.roots = tuple(roots)
-        self._index = index = {ps: i for i, ps in enumerate(self.pairs)}
+        self._position = position = dict(zip(codes, range(len(codes))))
         for r in self.roots:
-            if r not in index:
+            if r not in self:
                 raise ValueError(f"root {r!r} not among the universe pairs")
 
+        at = position.__getitem__
         try:
-            self.successors_idx = tuple(
-                [tuple([index[t] for t in targets]) for targets in record.values()]
-            )
+            self.successors_idx = tuple([tuple(map(at, ts)) for ts in record.values()])
         except KeyError:
-            ps, t = next(
-                (ps, t) for ps, targets in record.items() for t in targets
-                if t not in index
-            )
+            ps, t = composition._pairs(next(
+                (code, t) for code, targets in record.items() for t in targets
+                if t not in position
+            ))
             raise ValueError(f"universe is not tau-closed: {ps!r} -> {t!r}") from None
 
-        preds = [[] for _ in self.pairs]
+        preds = [[] for _ in codes]
         for i, targets in enumerate(self.successors_idx):
             for t in targets:
                 preds[t].append(i)
-        self.predecessors_idx = tuple(tuple(p) for p in preds)
+        self.predecessors_idx = tuple(map(tuple, preds))
 
-        zero = composition.client.zero
+        zero, n = composition.client.zero, composition.server.num_states
+        zero_codes = range(0) if zero is None else range(zero * n, zero * n + n)
         self.successful_indices = frozenset(
-            i for i, ps in enumerate(self.pairs) if ps.client == zero
+            i for i, code in enumerate(codes) if code in zero_codes
         )
         self.stuck_indices = frozenset(
             i for i, targets in enumerate(self.successors_idx) if not targets
         )
+
+    @functools.cached_property
+    def pairs(self) -> tuple:
+        """The pairs as ``PairState``s, decoded on first read."""
+        return self.composition._pairs(self.codes)
 
     @property
     def client_graph(self) -> ContractGraph:
@@ -163,26 +177,32 @@ class PairUniverse:
         return self.roots[0]
 
     def __len__(self) -> int:
-        return len(self.pairs)
+        return len(self.codes)
 
     def __iter__(self):
         return iter(self.pairs)
 
+    def _find(self, ps) -> Optional[int]:
+        try:
+            return self._position.get(self.composition._code(ps))
+        except InvalidPairError:
+            return None
+
     def __contains__(self, ps) -> bool:
-        return ps in self._index
+        return self._find(ps) is not None
 
     def index_of(self, ps: PairState) -> int:
-        try:
-            return self._index[ps]
-        except KeyError:
+        i = self._find(ps)
+        if i is None:
             raise UniverseMismatchError(f"pair {ps!r} is not in this universe")
+        return i
 
     def is_successful_index(self, i: int) -> bool:
         return i in self.successful_indices
 
     def __repr__(self) -> str:
         return (
-            f"<PairUniverse pairs={len(self.pairs)} roots={len(self.roots)} "
+            f"<PairUniverse pairs={len(self)} roots={len(self.roots)} "
             f"client={self.client_graph.name!r} server={self.server_graph.name!r}>"
         )
 
@@ -196,26 +216,18 @@ def to_dot(universe: PairUniverse) -> str:
     tau-edges solid, visible moves (between member pairs) dashed."""
     cname = universe.client_graph.name or "client"
     sname = universe.server_graph.name or "server"
-
-    def node(ps):
-        return _quote(f"{cname}.{ps.client} ‖ {sname}.{ps.server}")
-
+    nodes = [_quote(f"{cname}.{c} ‖ {sname}.{s}") for c, s in universe.pairs]
     lines = ["digraph universe {", "  rankdir=LR;"]
-    for i, ps in enumerate(universe.pairs):
+    for i, node in enumerate(nodes):
         shape = "doublecircle" if universe.is_successful_index(i) else "circle"
-        lines.append(f"  {node(ps)} [shape={shape}];")
+        lines.append(f"  {node} [shape={shape}];")
     for i, targets in enumerate(universe.successors_idx):
-        for t in targets:
-            lines.append(
-                f"  {node(universe.pairs[i])} -> {node(universe.pairs[t])}"
-                ' [label="tau"];'
-            )
-    for ps in universe.pairs:
+        lines += [f'  {nodes[i]} -> {nodes[t]} [label="tau"];' for t in targets]
+    for i, ps in enumerate(universe.pairs):
         for lab, target in universe.composition.compose_step(ps):
-            if lab.is_visible and target in universe:
-                lines.append(
-                    f"  {node(ps)} -> {node(target)}"
-                    f' [label={_quote(str(lab))}, style=dashed];'
-                )
+            t = universe._find(target)
+            if lab.is_visible and t is not None:
+                tag = _quote(str(lab))
+                lines.append(f"  {nodes[i]} -> {nodes[t]} [label={tag}, style=dashed];")
     lines.append("}")
     return "\n".join(lines) + "\n"

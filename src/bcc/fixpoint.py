@@ -54,7 +54,7 @@ class PairSet:
         return tuple(self.universe.pairs[i] for i in sorted(self.indices))
 
     def __contains__(self, ps) -> bool:
-        i = self.universe._index.get(ps)
+        i = self.universe._find(ps)
         return i is not None and i in self.indices
 
     def __len__(self) -> int:

@@ -61,20 +61,22 @@ class Verdict:
 def _beh_violations(universe: PairUniverse, progress: frozenset) -> frozenset:
     reaches_zero = universe.client_graph._reaches_zero
     diverging = universe.server_graph._diverging
+    n = universe.server_graph.num_states
     return progress | frozenset(
         i
-        for i, (c, s) in enumerate(universe.pairs)
-        if s in diverging and c not in reaches_zero
+        for i, code in enumerate(universe.codes)
+        if code % n in diverging and code // n not in reaches_zero
     )
 
 
 def _io_violations(universe: PairUniverse) -> frozenset:
     client_weak = universe.client_graph._weak
     server_weak = universe.server_graph._weak
+    n = universe.server_graph.num_states
     bad = set()
-    for i, (c, s) in enumerate(universe.pairs):
-        cw = client_weak[c]
-        sw = server_weak[s]
+    for i, code in enumerate(universe.codes):
+        cw = client_weak[code // n]
+        sw = server_weak[code % n]
         ok = cw.outputs <= sw.inputs and (
             not (not cw.outputs and cw.inputs)
             or (bool(sw.outputs) and sw.outputs <= cw.inputs)
@@ -194,8 +196,9 @@ def _verdicts(universe: PairUniverse, root_idx: int, kinds) -> dict:
         if kind is RelationKind.MUST and path and path[-1] not in stuck:
             # the path ends on a diverging pair, not a stuck one: exhibit the loop
             path = path + _lasso_extension(universe, path[-1], targets - stuck)
-        witness = None if path is None else tuple(universe.pairs[i] for i in path)
-        verdicts[kind] = Verdict(kind, holds, witness)
+        if path is not None:  # decode only the pairs on the path
+            path = universe.composition._pairs([universe.codes[i] for i in path])
+        verdicts[kind] = Verdict(kind, holds, path)
     return verdicts
 
 

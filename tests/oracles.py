@@ -14,6 +14,10 @@ library's table of interned integer rows must produce the same graphs.
 ``reference_parse`` and ``reference_parse_term`` are the recursive-descent
 parser, one method per grammar rule; the library's single parse loop must
 return the same definitions and raise the same errors at the same positions.
+
+``reference_universe`` is the pair universe with one ``PairState`` per pair
+throughout (its successor rule, ``explore`` and universe tables); the
+library's int-coded universe must number, link and classify the same pairs.
 """
 
 import re
@@ -25,6 +29,7 @@ from bcc import (
     TAU,
     Choice,
     ContractGraph,
+    InvalidPairError,
     Nil,
     PairState,
     Prefix,
@@ -35,6 +40,7 @@ from bcc import (
     out,
 )
 from bcc.errors import DuplicateNameError, ParseError
+from bcc.lts import discover
 from bcc.lang import DEFAULT_MAX_STATES, ContractDef, Term
 
 
@@ -512,3 +518,88 @@ def reference_parse(text: str) -> list:
         first_line[name] = line_no
         defs.append(ContractDef(name, term, line_no))
     return defs
+
+
+# -- reference pair universe ----------------------------------------------------
+
+
+def _reference_tau_targets(composition, ps):
+    # unchecked: ps must be a pair of client and server graph states
+    c, s = ps
+    targets = {PairState(t, s) for t in composition.client._tau_adj[c]}
+    targets.update(PairState(c, t) for t in composition.server._tau_adj[s])
+    server_out = composition.server._out[s]
+    for lab, c2 in composition.client._out[c]:
+        if lab.kind:
+            # a visible action meets its dual: same name, other kind
+            dual, name = 3 - lab.kind, lab.name
+            for slab, s2 in server_out:
+                if slab.kind == dual and slab.name == name:
+                    targets.add(PairState(c2, s2))
+    return tuple(sorted(targets))
+
+
+def reference_explore(composition, record, roots, max_pairs):
+    """Extend a tau-closed ``record`` (pair -> its tau-successors, as
+    ``PairState``s) to the least tau-closed superset of the roots; all or
+    nothing under ``max_pairs``."""
+    roots = tuple(roots)
+    for r in roots:
+        c, s = r
+        if not (
+            isinstance(c, int)
+            and isinstance(s, int)
+            and 0 <= c < composition.client.num_states
+            and 0 <= s < composition.server.num_states
+        ):
+            raise InvalidPairError(f"pair {r!r} is not valid for this composition")
+    return discover(
+        record, roots, lambda ps: _reference_tau_targets(composition, ps), max_pairs
+    )
+
+
+class ReferenceUniverse:
+    """The tables of a ``PairState``-keyed ``reference_explore`` record."""
+
+    def __init__(self, composition, record: dict, roots):
+        self.composition = composition
+        self.pairs = tuple(record)
+        self.roots = tuple(roots)
+        self._index = index = {ps: i for i, ps in enumerate(self.pairs)}
+        for r in self.roots:
+            if r not in index:
+                raise ValueError(f"root {r!r} not among the universe pairs")
+
+        try:
+            self.successors_idx = tuple(
+                [tuple([index[t] for t in targets]) for targets in record.values()]
+            )
+        except KeyError:
+            ps, t = next(
+                (ps, t) for ps, targets in record.items() for t in targets
+                if t not in index
+            )
+            raise ValueError(f"universe is not tau-closed: {ps!r} -> {t!r}") from None
+
+        preds = [[] for _ in self.pairs]
+        for i, targets in enumerate(self.successors_idx):
+            for t in targets:
+                preds[t].append(i)
+        self.predecessors_idx = tuple(tuple(p) for p in preds)
+
+        zero = composition.client.zero
+        self.successful_indices = frozenset(
+            i for i, ps in enumerate(self.pairs) if ps.client == zero
+        )
+        self.stuck_indices = frozenset(
+            i for i, targets in enumerate(self.successors_idx) if not targets
+        )
+
+
+def reference_universe(composition, roots, max_pairs):
+    """The ``PairState`` universe of the roots, or None past ``max_pairs``."""
+    roots = tuple(dict.fromkeys(PairState(*r) for r in roots))
+    record = {}
+    if not reference_explore(composition, record, roots, max_pairs):
+        return None
+    return ReferenceUniverse(composition, record, roots)

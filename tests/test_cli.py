@@ -3,6 +3,7 @@ import gc
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -468,6 +469,23 @@ def test_human_output_under_an_ascii_locale(argv, corpus_dir):
     assert b"Traceback" not in done.stderr, done.stderr
     assert done.returncode == 1  # some relation fails on the corpus
     assert "p1 ‖ q1" in done.stdout.decode("unicode_escape")
+
+
+def test_matrix_columns_line_up_under_an_ascii_locale(corpus_dir):
+    # the escaped marks and "‖" are wider than the characters they stand
+    # for; every cell must still end where its header ends
+    done = run_under_an_ascii_locale("matrix", corpus_dir)
+    assert done.returncode == 1, done.stderr
+    header, *rows = done.stdout.decode("ascii").splitlines()[:5]
+    assert "\\u2713" in rows[0]
+
+    def token_ends(line):
+        return [m.end() for m in re.finditer(r"\S+", line)]
+
+    columns = token_ends(header)[1:]
+    assert len(columns) == 6
+    for row in rows:
+        assert token_ends(row)[3:] == columns  # after "p1", "\\u2016", "q1"
 
 
 # -- garbage ------------------------------------------------------------------------

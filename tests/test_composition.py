@@ -1,12 +1,17 @@
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given
 
 from bcc import (
     TAU,
     Composition,
     InvalidPairError,
     PairExplosionError,
+    PairSet,
     PairState,
     PairUniverse,
+    RelationKind,
+    UniverseMismatchError,
     compile_term,
     inp,
     merge_graphs,
@@ -14,9 +19,15 @@ from bcc import (
     parse_term,
     random_pairs,
     to_dot,
+    verdict_at,
 )
-from conftest import compiled_random_pair, universe_of
-from oracles import pair_moves, pair_tau_successors
+from conftest import compiled_random_pair, contract_graphs, universe_of
+from oracles import (
+    pair_moves,
+    pair_tau_successors,
+    reference_explore,
+    reference_universe,
+)
 
 
 def comp(graphs, c, s):
@@ -183,10 +194,21 @@ def test_multi_root_universe_orders_roots_first(graphs):
 def test_universe_record_must_be_tau_closed_and_hold_the_roots(graphs):
     composition = comp(graphs, "p1", "q1")
     root = root_of(graphs, "p1", "q1")
-    with pytest.raises(ValueError, match="not tau-closed"):
-        PairUniverse(composition, {root: composition.tau_successors(root)}, [root])
-    with pytest.raises(ValueError, match="not among"):
-        PairUniverse(composition, {PairState(0, 0): ()}, [root])
+
+    def code(ps):  # the record's pair coding: client * |server| + server
+        return ps.client * graphs["q1"].num_states + ps.server
+
+    successors = tuple(map(code, composition.tau_successors(root)))
+    with pytest.raises(
+        ValueError,
+        match=r"not tau-closed: PairState\(client=1, server=1\) -> "
+        r"PairState\(client=0, server=0\)",
+    ):
+        PairUniverse(composition, {code(root): successors}, [root])
+    with pytest.raises(
+        ValueError, match=r"root PairState\(client=1, server=1\) not among"
+    ):
+        PairUniverse(composition, {code(PairState(0, 0)): ()}, [root])
 
 
 @pytest.mark.parametrize("seed", range(60))
@@ -256,6 +278,144 @@ def test_successful_pairs_move_only_by_server_taus(seed):
             for t in composition.tau_successors(ps):
                 assert t.client == ps.client
                 assert t.server in server.successors(ps.server, TAU)
+
+
+# -- the int-coded universe against the PairState one ----------------------------
+
+
+def any_roots(data, client, server):
+    pair = st.builds(
+        PairState,
+        st.integers(0, client.num_states - 1),
+        st.integers(0, server.num_states - 1),
+    )
+    return data.draw(st.lists(pair, min_size=1, max_size=3))
+
+
+def assert_matches_reference(composition, roots, max_pairs=4096):
+    reference = reference_universe(composition, roots, max_pairs)
+    universe = composition.build_universe(roots, max_pairs)
+    assert universe.pairs == reference.pairs
+    assert universe.successors_idx == reference.successors_idx
+    assert universe.predecessors_idx == reference.predecessors_idx
+    assert universe.successful_indices == reference.successful_indices
+    assert universe.stuck_indices == reference.stuck_indices
+    assert universe.roots == reference.roots
+    n = composition.server.num_states
+    assert universe.codes == tuple(c * n + s for c, s in reference.pairs)
+
+
+@given(contract_graphs(), contract_graphs(), st.data())
+def test_coded_universe_matches_the_pair_state_universe(client, server, data):
+    assert_matches_reference(
+        Composition(client, server), any_roots(data, client, server)
+    )
+
+
+@given(
+    contract_graphs(max_states=40), contract_graphs(max_states=2), st.data()
+)
+def test_coded_universe_matches_with_a_much_larger_client(client, server, data):
+    assert_matches_reference(
+        Composition(client, server), any_roots(data, client, server)
+    )
+
+
+@given(
+    contract_graphs(max_states=2), contract_graphs(max_states=40), st.data()
+)
+def test_coded_universe_matches_with_a_much_larger_server(client, server, data):
+    assert_matches_reference(
+        Composition(client, server), any_roots(data, client, server)
+    )
+
+
+@given(contract_graphs(success=False), contract_graphs(), st.data())
+def test_coded_universe_matches_for_clients_without_success(client, server, data):
+    assert client.zero is None
+    assert_matches_reference(
+        Composition(client, server), any_roots(data, client, server)
+    )
+
+
+@given(
+    st.lists(contract_graphs(), min_size=2, max_size=4),
+    st.lists(contract_graphs(), min_size=2, max_size=4),
+)
+def test_coded_universe_matches_on_merged_graphs(clients, servers):
+    client, client_initials = merge_graphs(clients)
+    server, server_initials = merge_graphs(servers)
+    roots = list(map(PairState, client_initials, server_initials))
+    assert_matches_reference(Composition(client, server), roots)
+
+
+@given(st.integers(0, 2**32 - 1))
+def test_coded_universe_matches_on_random_pairs(seed):
+    client, server = compiled_random_pair(seed)
+    assert_matches_reference(
+        Composition(client, server), [PairState(client.initial, server.initial)]
+    )
+
+
+@given(contract_graphs(), contract_graphs(), st.data())
+def test_explore_bound_is_all_or_nothing_on_a_code_record(client, server, data):
+    # the same two explore calls on a code record and on a PairState record
+    composition = Composition(client, server)
+    n = server.num_states
+
+    def decode(code):
+        return PairState(*divmod(code, n))
+
+    def decoded(record):
+        return [
+            (decode(code), tuple(map(decode, targets)))
+            for code, targets in record.items()
+        ]
+
+    record, reference = {}, {}
+    for _ in range(2):
+        root = any_roots(data, client, server)[0]
+        before = list(record.items())
+        bound = data.draw(st.integers(max(len(record), 1), len(record) + 8))
+        fits = composition.explore(record, [root], bound)
+        assert fits == reference_explore(composition, reference, [root], bound)
+        if not fits:
+            assert list(record.items()) == before
+        assert all(type(code) is int for code in record)
+        assert decoded(record) == list(reference.items())
+
+
+# -- no pair aliases another's code -----------------------------------------------
+
+
+def test_out_of_range_components_do_not_alias_pairs():
+    # a tau-grid: client states 1..4 each meet server states 1..5
+    client = compile_term(parse_term("tau.tau.tau.!a.0"))
+    server = compile_term(parse_term("rec Y.tau.tau.tau.tau.(?a.0 + tau.Y)"))
+    n = server.num_states
+    assert n == 6
+    universe = universe_of(client, server)
+    full = PairSet.full(universe)
+    # input -> the member that c * |S| + s would code it as, if any
+    inputs = {
+        PairState(2, 2 + n): PairState(3, 2),
+        PairState(3, 2 - n): PairState(2, 2),
+        PairState(2, -1): PairState(1, n - 1),
+        PairState(-1, 2): None,
+        PairState(2.5, 2): PairState(2, 2 + n // 2),  # n is even
+        PairState(True, 0): None,  # no pair (1, 0) either
+        PairState(False, 1): None,
+    }
+    for ps, alias in inputs.items():
+        assert alias is None or alias in universe
+        assert ps not in universe
+        assert ps not in full
+        with pytest.raises(UniverseMismatchError):
+            universe.index_of(ps)
+        with pytest.raises(UniverseMismatchError):
+            PairSet.of_pairs(universe, [ps])
+        with pytest.raises(UniverseMismatchError):
+            verdict_at(universe, ps, RelationKind.MAY)
 
 
 # -- dot export -----------------------------------------------------------------

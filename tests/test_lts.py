@@ -17,7 +17,7 @@ from bcc import (
     compile_term,
 )
 from bcc.lts import attractor, discover, reach
-from conftest import compiled_random_pair
+from conftest import compiled_random_pair, contract_graphs
 from oracles import (
     diverges_brute,
     reaches_zero_brute,
@@ -27,23 +27,6 @@ from oracles import (
 
 names = st.from_regex(r"[a-z][a-z0-9_]{0,5}", fullmatch=True)
 visible_labels = st.one_of(st.builds(inp, names), st.builds(out, names))
-small_labels = [TAU, inp("a"), out("a"), inp("b"), out("b")]
-
-
-@st.composite
-def contract_graphs(draw):
-    """Arbitrary small graphs: tau cycles and self-loops, with or without a
-    success state (every other state needs an outgoing edge)."""
-    n = draw(st.integers(1, 6))
-    zero = draw(st.none() | st.integers(0, n - 1))
-    moves = st.tuples(st.sampled_from(small_labels), st.integers(0, n - 1))
-    edges = [
-        (s, lab, t)
-        for s in range(n)
-        if s != zero
-        for lab, t in draw(st.lists(moves, min_size=1, max_size=4))
-    ]
-    return ContractGraph(n, draw(st.integers(0, n - 1)), edges, zero)
 
 
 @given(visible_labels)

@@ -47,3 +47,21 @@ def test_relation_survey_rejects_bad_options(args, message):
     assert message in done.stderr
     assert "Traceback" not in done.stderr
     assert done.stdout == ""
+
+
+def test_universe_probe_prints_the_tau_grid_table():
+    done = subprocess.run(
+        [sys.executable, str(SCRIPTS / "universe_probe.py")],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    header, *rows = done.stdout.splitlines()
+    assert header.split() == ["grid", "pairs", "universe", "ms", "evaluate", "ms"]
+    assert [row.split()[:2] for row in rows] == [
+        ["40x45", "1887"],
+        ["100x100", "10202"],
+        ["200x200", "40402"],
+    ]
+    assert all(float(ms) > 0 for row in rows for ms in row.split()[2:])
