@@ -206,22 +206,25 @@ def _compile_pair(client, server, max_states: int) -> list:
 
 def _cmd_matrix(args) -> int:
     start = time.perf_counter()
-    entries = []
-    # UTF-8 output's 10-character pair column and 3-character cells, widened
-    # by what escaping adds to "‖" and the marks (contract names are ASCII)
+    entries, rows = [], []
+    # 3-character cells in UTF-8, widened by what escaping adds to the marks
+    # and to "‖" (contract names are ASCII)
     sep = _printable(" ‖ ")
     marks = {True: _printable(HOLD_MARK), False: _printable(FAIL_MARK)}
-    width, name_width = max(3, *(len(m) + 1 for m in marks.values())), len(sep) + 7
-    codes = "  ".join(f"{k.value:>{width}}" for k in ALL_RELATIONS)
-    human = ["pair".ljust(name_width) + codes]
+    width = max(3, *(len(m) + 1 for m in marks.values()))
     all_hold = True
     for client_def, server_def in _corpus_pairs(args.corpus_dir):
         client, server = _compile_pair(client_def, server_def, args.max_states)
         verdicts = evaluate(client, server, max_pairs=args.max_pairs)
         entries.append(_pair_entry(client.name, server.name, verdicts))
         cells = "  ".join(f"{marks[verdicts[k].holds]:>{width}}" for k in ALL_RELATIONS)
-        human.append(f"{client.name + sep + server.name:<{name_width}}{cells}")
+        rows.append((client.name + sep + server.name, cells))
         all_hold = all_hold and all(v.holds for v in verdicts.values())
+    # the pair column fits the longest label; 10 characters at least in UTF-8
+    name_width = max([len(sep) + 7] + [len(label) + 1 for label, _ in rows])
+    codes = "  ".join(f"{k.value:>{width}}" for k in ALL_RELATIONS)
+    human = ["pair".ljust(name_width) + codes]
+    human += [label.ljust(name_width) + cells for label, cells in rows]
     elapsed = (time.perf_counter() - start) * 1000
 
     report = {

@@ -37,6 +37,12 @@ class Composition:
     def __init__(self, client: ContractGraph, server: ContractGraph):
         self.client = client
         self.server = server
+        # what the BFS reads for every pair, read off the graphs once: their
+        # attributes load about twice as slowly (CPython 3.11) once a cached
+        # table has materialised the instance dict
+        self._rows = (
+            server.num_states, client._tau_adj, server._tau_adj, client._out, server._out
+        )
 
     def _code(self, ps) -> int:
         """``c * |S| + s`` for a pair of this composition's states; a bool,
@@ -71,20 +77,19 @@ class Composition:
 
     def _tau_targets(self, code: int) -> tuple:
         # unchecked: code must be valid; loops, as a comprehension costs a frame
-        client, server = self.client, self.server
-        n = server.num_states
+        n, client_tau, server_tau, client_out, server_out = self._rows
         c, s = divmod(code, n)
         targets = set()
-        for t in client._tau_adj[c]:
+        for t in client_tau[c]:
             targets.add(t * n + s)
-        for t in server._tau_adj[s]:
+        for t in server_tau[s]:
             targets.add(code - s + t)
-        server_out = server._out[s]
-        for lab, c2 in client._out[c]:
+        server_row = server_out[s]
+        for lab, c2 in client_out[c]:
             if lab.kind:
                 # a visible action meets its dual: same name, other kind
                 dual, name = 3 - lab.kind, lab.name
-                for slab, s2 in server_out:
+                for slab, s2 in server_row:
                     if slab.kind == dual and slab.name == name:
                         targets.add(c2 * n + s2)
         return tuple(sorted(targets))

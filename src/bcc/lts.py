@@ -3,8 +3,10 @@
 States are dense integer ids.  A graph may own a distinguished *success*
 state: the unique state without outgoing edges (absent when the contract can
 never terminate).  Weak barbs, divergence and success reachability are
-tables built once, by backward search over tau-edges; tau-closures are
-searched on demand.  Graphs are immutable and safe to read from any thread.
+tables built on first read, by backward search over tau-edges, so a graph
+that is only merged or composed never builds them; tau-closures are searched
+on demand.  Graphs are immutable, and a racing first read of a table
+computes an equal value, so they may be read from any thread.
 
 The three graph kernels every layer of the package shares live here too:
 ``reach`` (BFS closure) and ``attractor`` (counter-based dead-end
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Optional, Sequence
 
 from .errors import UnknownStateError
@@ -173,7 +175,11 @@ class ContractGraph:
     ``zero`` is the id of the success state, or None when no state of the
     graph is terminal.  Construction enforces that ``zero`` is the only
     state without outgoing edges.  ``name`` is display-only and ignored by
-    equality.
+    equality.  Construction keeps only the edges and the out-edge rows; the
+    derived tables (``_tau_adj``, ``_reaches_zero``, ``_weak``,
+    ``_diverging``) are built on first read and cached on the instance.
+    ``merge_graphs`` keeps only the rows, and ``edges`` is then built on
+    first read too.
     """
 
     def __init__(
@@ -195,23 +201,18 @@ class ContractGraph:
         self.initial = initial
         self.zero = zero
         self.name = name
-        # sorted by (source, label kind, action name, target); keeps caller tuples
+        # sorted by (source, label kind, action name, target); keeps caller
+        # tuples, and stands in for the ``edges`` property below
         self.edges = tuple(sorted(set(map(tuple, edges))))
 
         outgoing = [[] for _ in range(num_states)]
-        tau_pred = [[] for _ in range(num_states)]
-        offers = {}  # visible label -> the states with an edge carrying it
         for s, lab, t in self.edges:
             if not isinstance(lab, Label):
                 raise ValueError(f"edge label {lab!r} is not a Label")
             if not (0 <= s < num_states and 0 <= t < num_states):
                 raise ValueError(f"edge ({s}, {lab}, {t}) leaves the state range")
             outgoing[s].append((lab, t))
-            if lab.is_visible:
-                offers.setdefault(lab, []).append(s)
-            else:
-                tau_pred[t].append(s)
-        self._out = tuple(tuple(o) for o in outgoing)
+        self._out = tuple(map(tuple, outgoing))
 
         if zero is not None and self._out[zero]:
             raise ValueError("the success state must have no outgoing edges")
@@ -221,22 +222,61 @@ class ContractGraph:
                     f"state {s} has no outgoing edges but is not the success state"
                 )
 
-        self._tau_adj = tuple(
-            tuple(t for (lab, t) in outs if lab.is_internal) for outs in self._out
+    # -- derived tables, built on first read -------------------------------
+
+    @cached_property
+    def edges(self) -> tuple:
+        """Every (source, label, target) edge in canonical order."""
+        return tuple(
+            [(s, lab, t) for s, outs in enumerate(self._out) for lab, t in outs]
         )
-        # a state tau-reaches success, or weakly offers a visible action,
-        # iff it tau-reaches a state where that is decided
-        self._reaches_zero = reach(tau_pred, () if zero is None else (zero,))
-        weak = [[] for _ in range(num_states)]
+
+    @cached_property
+    def _tau_adj(self) -> tuple:
+        """The tau-successors of every state, ordered by state id."""
+        return tuple(
+            tuple(t for (lab, t) in outs if lab.kind == INTERNAL) for outs in self._out
+        )
+
+    def _tau_pred(self) -> list:
+        """The tau-predecessors of every state: ``_tau_adj`` reversed."""
+        pred = [[] for _ in range(self.num_states)]
+        for s, targets in enumerate(self._tau_adj):
+            for t in targets:
+                pred[t].append(s)
+        return pred
+
+    # a state tau-reaches success, or weakly offers a visible action, iff it
+    # tau-reaches a state where that is decided
+
+    @cached_property
+    def _reaches_zero(self) -> frozenset:
+        if self.zero is None:
+            return frozenset()
+        return reach(self._tau_pred(), (self.zero,))
+
+    @cached_property
+    def _weak(self) -> tuple:
+        offers = {}  # visible label -> the states with an edge carrying it
+        for s, outs in enumerate(self._out):
+            for lab, _ in outs:
+                if lab.kind != INTERNAL:
+                    offers.setdefault(lab, []).append(s)
+        tau_pred = self._tau_pred()
+        weak = [[] for _ in range(self.num_states)]
         for lab, sources in sorted(offers.items()):  # one cache key per label set
             for s in reach(tau_pred, sources):
                 weak[s].append(lab)
-        self._weak = tuple(_barb_set(tuple(labels)) for labels in weak)
+        return tuple(_barb_set(tuple(labels)) for labels in weak)
+
+    @cached_property
+    def _diverging(self) -> frozenset:
         # a state diverges iff it starts an infinite tau-path, i.e. iff it
         # is outside the attractor of the states without tau-successors
-        tau_stuck = (s for s in range(num_states) if not self._tau_adj[s])
-        self._diverging = frozenset(range(num_states)) - attractor(
-            self._tau_adj, tau_pred, tau_stuck
+        tau_adj = self._tau_adj
+        tau_stuck = (s for s in range(self.num_states) if not tau_adj[s])
+        return frozenset(range(self.num_states)) - attractor(
+            tau_adj, self._tau_pred(), tau_stuck
         )
 
     def _check_state(self, s: int) -> None:
@@ -308,19 +348,48 @@ def merge_graphs(graphs: Sequence[ContractGraph]) -> tuple:
     The component success states are identified and become state 0 of the
     union (there must be a single terminal state overall).  Returns the
     merged graph and the remapped initial state of every component.
+
+    The union is assembled from the components' canonical out-edge rows
+    without sorting or validating it again: components take increasing
+    blocks of ids, and renumbering keeps the order of every state but
+    success, which becomes 0.  So only an edge into success can fall out of
+    order, and it moves to the front of its (source, label) group.
     """
     if not graphs:
         raise ValueError("merge_graphs needs at least one graph")
     any_zero = any(g.zero is not None for g in graphs)
     base = 1 if any_zero else 0
-    edges = []
+    rows = [()] if any_zero else []  # merged state -> its out-edge row
     initials = []
     for g in graphs:
+        zero = g.zero
         ids = list(range(base, base + g.num_states))  # merged id of each state
-        if g.zero is not None:
-            ids[g.zero:] = [0] + ids[g.zero : -1]
+        if zero is not None:
+            ids[zero:] = [0] + ids[zero:-1]
         initials.append(ids[g.initial])
-        edges.extend((ids[s], lab, ids[t]) for s, lab, t in g.edges)
-        base += g.num_states - (g.zero is not None)
-    merged = ContractGraph(base, initials[0], edges, 0 if any_zero else None)
+        for outs in g._out:
+            if not outs:  # the success state, already row 0
+                continue
+            row = [(lab, ids[t]) for lab, t in outs]
+            if zero:  # renumbered to 0, success may now precede its group
+                _success_first(row)
+            rows.append(tuple(row))
+        base += g.num_states - (zero is not None)
+
+    merged = ContractGraph.__new__(ContractGraph)
+    merged.num_states, merged.initial = base, initials[0]
+    merged.zero, merged.name = (0 if any_zero else None), ""
+    merged._out = tuple(rows)
     return merged, tuple(initials)
+
+
+def _success_first(row: list) -> None:
+    """Restore canonical order to a renumbered out-edge row whose only
+    misplaced edges lead to success (0): each moves to the front of its
+    label's group."""
+    for i, (lab, t) in enumerate(row):
+        if t == 0:
+            j = i
+            while j and row[j - 1][0] == lab:
+                j -= 1
+            row.insert(j, row.pop(i))

@@ -10,7 +10,8 @@ twice: over the whole universe, and inside the unsuccessful pairs (Must).
 Validation happens at the public entry points: ``evaluate`` builds its
 universe from valid graphs and ``verdict_at`` looks its root up.  The set
 evaluators and searches then read the universe's index tables and the
-graphs' precomputed tables directly.
+graphs' weak-barb, divergence and success tables directly; each graph builds
+a table on its first read, so a decider pays only for the tables it reads.
 
 The deciders share only the generic graph kernels of ``lts`` with the fixed
 points, never the compliance functional, so they stay independent of the

@@ -22,6 +22,7 @@ library's int-coded universe must number, link and classify the same pairs.
 
 import re
 from collections import deque
+from itertools import count
 
 from bcc import (
     INPUT,
@@ -157,6 +158,20 @@ def reaches_zero_brute(graph, state):
                 seen.add(t)
                 stack.append(t)
     return False
+
+
+def union_brute(graphs):
+    """The merge's definition built from scratch: the success states become
+    state 0, every other state is numbered in component order, and the
+    renumbered edges go through the validating, sorting constructor."""
+    zero = 0 if any(g.zero is not None for g in graphs) else None
+    fresh = count(0 if zero is None else 1)
+    edges, initials = [], []
+    for g in graphs:
+        ids = [0 if s == g.zero else next(fresh) for s in range(g.num_states)]
+        edges += [(ids[s], lab, ids[t]) for s, lab, t in g.edges]
+        initials.append(ids[g.initial])
+    return ContractGraph(next(fresh), initials[0], edges, zero), tuple(initials)
 
 
 # -- relation oracles -------------------------------------------------------

@@ -317,6 +317,22 @@ def test_matrix_keeps_padded_and_plain_numbers_apart(capsys, tmp_path):
     assert [e["client"] for e in pairs] == ["p01", "p1", "p2", "p10"]
 
 
+def test_matrix_pair_column_fits_the_longest_label(capsys, tmp_path):
+    (tmp_path / "wide.bc").write_text("p1 = !a.0\nq1 = ?a.0\np100 = !a.0\nq100 = ?b.0\n")
+    code, out, err = run(capsys, "matrix", str(tmp_path))
+    assert code == 1 and err == ""
+    header, *rows = out.splitlines()[:3]
+    assert [row.split()[0] for row in rows] == ["p1", "p100"]
+
+    def token_ends(line):
+        return [m.end() for m in re.finditer(r"\S+", line)]
+
+    columns = token_ends(header)[1:]
+    assert len(columns) == 6
+    for row in rows:
+        assert token_ends(row)[3:] == columns  # after "pN", "‖", "qN"
+
+
 # -- verify-propositions --------------------------------------------------------
 
 

@@ -1,6 +1,8 @@
+from itertools import permutations
+
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 
 from bcc import (
     INPUT,
@@ -20,8 +22,10 @@ from bcc.lts import attractor, discover, reach
 from conftest import compiled_random_pair, contract_graphs
 from oracles import (
     diverges_brute,
+    raw_tau_targets,
     reaches_zero_brute,
     tau_closure_brute,
+    union_brute,
     weak_barbs_brute,
 )
 
@@ -239,6 +243,67 @@ def test_merge_preserves_behaviour_of_arbitrary_components(parts):
             for g in parts
         ]
         assert_merge_preserves_components(rooted)
+
+
+TABLES = ("_tau_adj", "_reaches_zero", "_weak", "_diverging")
+
+# a success state numbered above a state it shares a label group with: the
+# renumbered edge into success must move to the front of its group
+SUCCESS_LAST = ContractGraph(
+    3, 0, [(0, out("a"), 1), (0, out("a"), 2), (1, TAU, 0), (1, out("b"), 2)], zero=2
+)
+
+
+def test_merge_moves_edges_into_success_first():
+    merged, initials = merge_graphs([SUCCESS_LAST])
+    assert initials == (1,)
+    assert merged.edges == (
+        (1, out("a"), 0),
+        (1, out("a"), 2),
+        (2, TAU, 1),
+        (2, out("b"), 0),
+    )
+
+
+component_lists = st.lists(contract_graphs(), min_size=1, max_size=4) | st.lists(
+    contract_graphs(success=False), min_size=1, max_size=4
+)
+
+
+@given(component_lists)
+@example([SUCCESS_LAST, SUCCESS_LAST])
+def test_merge_equals_the_union_built_from_scratch(parts):
+    merged, initials = merge_graphs(parts)
+    union, union_initials = union_brute(parts)
+    assert initials == union_initials
+    assert merged == union
+    assert merged._out == union._out
+    for table in TABLES:
+        assert getattr(merged, table) == getattr(union, table)
+
+
+@given(component_lists)
+def test_merge_builds_no_table(parts):
+    merged, _ = merge_graphs(parts)
+    for g in (*parts, merged):
+        assert not set(TABLES) & set(vars(g))
+
+
+@given(contract_graphs())
+def test_tables_read_in_any_order_match_their_definitions(g):
+    n = g.num_states
+    expected = {
+        "_tau_adj": tuple(tuple(sorted(raw_tau_targets(g, s))) for s in range(n)),
+        "_reaches_zero": {s for s in range(n) if reaches_zero_brute(g, s)},
+        "_weak": tuple(
+            BarbSet(*map(frozenset, weak_barbs_brute(g, s))) for s in range(n)
+        ),
+        "_diverging": {s for s in range(n) if diverges_brute(g, s)},
+    }
+    for order in permutations(TABLES):
+        fresh = ContractGraph(n, g.initial, g.edges, g.zero)
+        assert not set(TABLES) & set(vars(fresh))
+        assert {table: getattr(fresh, table) for table in order} == expected
 
 
 # -- tables against their definitions -----------------------------------------------

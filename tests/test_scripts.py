@@ -65,3 +65,17 @@ def test_universe_probe_prints_the_tau_grid_table():
         ["200x200", "40402"],
     ]
     assert all(float(ms) > 0 for row in rows for ms in row.split()[2:])
+
+
+def test_merge_probe_prints_compile_and_merge_times():
+    done = subprocess.run(
+        [sys.executable, str(SCRIPTS / "merge_probe.py")],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    compile_line, merge_line = done.stdout.splitlines()
+    assert compile_line.startswith("compile 4000 terms:")
+    assert merge_line.startswith("merge both sides:")
+    assert all(float(line.split()[-2]) > 0 for line in (compile_line, merge_line))
