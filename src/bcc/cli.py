@@ -54,9 +54,7 @@ def _default_max_pairs() -> int:
 
 def _requested_kinds(args) -> tuple:
     if getattr(args, "relations", None) and not args.all:
-        by_code = {kind.value: kind for kind in RelationKind}
-        seen = dict.fromkeys(args.relations)
-        return tuple(by_code[code] for code in seen)
+        return tuple(dict.fromkeys(map(RelationKind, args.relations)))
     return ALL_RELATIONS
 
 

@@ -95,8 +95,7 @@ class Composition:
         return tuple(sorted(targets))
 
     def is_successful(self, ps: PairState) -> bool:
-        self._code(ps)
-        return self.client.zero is not None and ps.client == self.client.zero
+        return self._code(ps) // self.server.num_states == self.client.zero
 
     def is_stuck(self, ps: PairState) -> bool:
         return not self.tau_successors(ps)

@@ -104,13 +104,11 @@ def least_fixpoint(universe: PairUniverse) -> PairSet:
 
 def greatest_fixpoint(universe: PairUniverse) -> PairSet:
     """The greatest fixed point: every pair from which no stuck unsuccessful
-    pair is tau-reachable through unsuccessful pairs."""
+    pair is tau-reachable.  A path to such a pair never passes a successful
+    one, since success is absorbing."""
     everything = frozenset(range(len(universe)))
-    unsuccessful = everything - universe.successful_indices
     stuck = universe.stuck_indices - universe.successful_indices
-    return PairSet(
-        universe, everything - reach(universe.predecessors_idx, stuck, unsuccessful)
-    )
+    return PairSet(universe, everything - reach(universe.predecessors_idx, stuck))
 
 
 def restrict(universe: PairUniverse, kind: RelationKind) -> PairSet:

@@ -109,15 +109,14 @@ def _barb_set(labels: tuple) -> BarbSet:
 Edge = tuple  # (source: int, label: Label, target: int)
 
 
-def reach(adj, sources, within=None) -> frozenset:
-    """Nodes reachable from the sources along ``adj`` (sources included),
-    by paths that stay inside ``within`` when given."""
-    seen = set(sources) if within is None else {s for s in sources if s in within}
+def reach(adj, sources) -> frozenset:
+    """Nodes reachable from the sources along ``adj`` (sources included)."""
+    seen = set(sources)
     queue = deque(seen)
     while queue:
         u = queue.popleft()
         for v in adj[u]:
-            if v not in seen and (within is None or v in within):
+            if v not in seen:
                 seen.add(v)
                 queue.append(v)
     return frozenset(seen)

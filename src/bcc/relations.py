@@ -4,8 +4,12 @@ Each relation is decided over the tau-closed universe of the composition as
 one reachability question: which pairs can reach the relation's target set
 (its violations; for may-testing, success).  The same search decides a
 single root and yields its witness.  All relations requested for one root
-share the universe's stuck set and the root's BFS, which runs at most
-twice: over the whole universe, and inside the unsuccessful pairs (Must).
+share the universe's stuck set and one BFS from the root.
+
+Success is absorbing: the client's success state has no moves, so every
+tau-successor of a successful pair is successful.  Every violation is an
+unsuccessful pair, so all its predecessors and every path to it are
+unsuccessful too, and a search need not be confined to unsuccessful pairs.
 
 Validation happens at the public entry points: ``evaluate`` builds its
 universe from valid graphs and ``verdict_at`` looks its root up.  The set
@@ -87,55 +91,47 @@ def _io_violations(universe: PairUniverse) -> frozenset:
     return frozenset(bad)
 
 
-def _targets(universe: PairUniverse, kind: RelationKind) -> tuple:
-    """The relation's search: ``(targets, unsuccessful_only)``.  The
-    relation holds at a pair iff no target is tau-reachable from it (along
-    unsuccessful pairs only, when the flag is set); may-testing holds iff
-    one is."""
+def _targets(universe: PairUniverse, kind: RelationKind) -> frozenset:
+    """The relation's targets.  The relation holds at a pair iff no target
+    is tau-reachable from it; may-testing holds iff one is."""
     successful = universe.successful_indices
     stuck = universe.stuck_indices
     if kind is RelationKind.PROGRESS:
-        return stuck - successful, False
+        return stuck - successful
     if kind is RelationKind.MAY:
-        return successful, False
+        return successful
     if kind is RelationKind.SHOULD:
         everything = frozenset(range(len(universe)))
-        return everything - reach(universe.predecessors_idx, successful), False
+        return everything - reach(universe.predecessors_idx, successful)
     if kind is RelationKind.BEH:
-        return _beh_violations(universe, stuck - successful), False
+        return _beh_violations(universe, stuck - successful)
     if kind is RelationKind.IO:
-        return _io_violations(universe), False
+        return _io_violations(universe)
     if kind is RelationKind.MUST:
-        # stuck, or starting an infinite tau-path that avoids success
+        # stuck short of success, or starting an infinite tau-path that avoids it
         everything = frozenset(range(len(universe)))
         diverging = everything - attractor(
             universe.successors_idx, universe.predecessors_idx, successful | stuck
         )
-        return stuck | diverging, True
+        return (stuck - successful) | diverging
     raise ValueError(f"unknown relation kind: {kind!r}")
 
 
 def holding_indices(universe: PairUniverse, kind: RelationKind) -> frozenset:
     """Indices of the pairs at which the relation holds, each judged over
     the sub-universe reachable from that pair."""
-    targets, unsuccessful_only = _targets(universe, kind)
-    everything = frozenset(range(len(universe)))
-    within = everything - universe.successful_indices if unsuccessful_only else None
-    reaching = reach(universe.predecessors_idx, targets, within)
+    reaching = reach(universe.predecessors_idx, _targets(universe, kind))
     if kind is RelationKind.MAY:
         return reaching
-    return everything - reaching
+    return frozenset(range(len(universe))) - reaching
 
 
 # -- per-root verdicts and witnesses ---------------------------------------
 
 
-def _distances(universe, source: int, avoid) -> list:
-    """BFS distance of every pair from source (-1: unreached), along paths
-    that visit no pair of ``avoid``."""
+def _distances(universe, source: int) -> list:
+    """BFS distance of every pair from source (-1: unreached)."""
     dist = [-1] * len(universe)
-    if source in avoid:
-        return dist
     dist[source] = 0
     queue = deque([source])
     successors = universe.successors_idx
@@ -143,7 +139,7 @@ def _distances(universe, source: int, avoid) -> list:
         u = queue.popleft()
         step = dist[u] + 1
         for v in successors[u]:
-            if dist[v] < 0 and v not in avoid:
+            if dist[v] < 0:
                 dist[v] = step
                 queue.append(v)
     return dist
@@ -181,18 +177,13 @@ def _lasso_extension(universe, start: int, pool) -> list:
 
 
 def _verdicts(universe: PairUniverse, root_idx: int, kinds) -> dict:
-    """Decide the relations of ``kinds`` at one root.  The BFS from the
-    root runs at most once per search region: everywhere, and inside the
-    unsuccessful pairs (Must)."""
+    """Decide the relations of ``kinds`` at one root, from one BFS."""
     stuck = universe.stuck_indices
-    regions = {}
+    dist = _distances(universe, root_idx)
     verdicts = {}
     for kind in kinds:
-        targets, unsuccessful_only = _targets(universe, kind)
-        if unsuccessful_only not in regions:
-            avoid = universe.successful_indices if unsuccessful_only else ()
-            regions[unsuccessful_only] = _distances(universe, root_idx, avoid)
-        path = _shortest_path(universe, regions[unsuccessful_only], targets)
+        targets = _targets(universe, kind)
+        path = _shortest_path(universe, dist, targets)
         holds = (path is not None) if kind is RelationKind.MAY else (path is None)
         if kind is RelationKind.MUST and path and path[-1] not in stuck:
             # the path ends on a diverging pair, not a stuck one: exhibit the loop

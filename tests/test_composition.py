@@ -120,6 +120,9 @@ def test_is_successful_checks_the_client_only(graphs):
     composition = comp(graphs, "p1", "q2")
     assert composition.is_successful(PairState(0, 0))
     assert not composition.is_successful(PairState(1, 0))
+    # a plain tuple is a pair too, as for tau_successors and is_stuck
+    assert composition.is_successful((0, 0))
+    assert not composition.is_successful((1, 0))
 
 
 def test_client_without_terminal_state_is_never_successful(graphs):
@@ -280,6 +283,45 @@ def test_successful_pairs_move_only_by_server_taus(seed):
                 assert t.server in server.successors(ps.server, TAU)
 
 
+def product_universe(client, server):
+    # every pair of the product is a root, so no successful pair is missed
+    roots = [
+        PairState(c, s)
+        for c in range(client.num_states)
+        for s in range(server.num_states)
+    ]
+    return Composition(client, server).build_universe(roots)
+
+
+def merged_universe(clients, servers):
+    client, client_initials = merge_graphs(clients)
+    server, server_initials = merge_graphs(servers)
+    roots = list(map(PairState, client_initials, server_initials))
+    return Composition(client, server).build_universe(roots)
+
+
+@given(
+    st.one_of(
+        st.builds(product_universe, contract_graphs(), contract_graphs()),
+        st.builds(
+            merged_universe,
+            st.lists(contract_graphs(), min_size=2, max_size=4),
+            st.lists(contract_graphs(), min_size=2, max_size=4),
+        ),
+        st.builds(
+            lambda seed: universe_of(*compiled_random_pair(seed)),
+            st.integers(0, 2**32 - 1),
+        ),
+    )
+)
+def test_success_is_absorbing(universe):
+    # the deciders search the whole universe because of this: a successful
+    # pair reaches only successful pairs
+    successful = universe.successful_indices
+    for i in successful:
+        assert set(universe.successors_idx[i]) <= successful
+
+
 # -- the int-coded universe against the PairState one ----------------------------
 
 
@@ -416,6 +458,8 @@ def test_out_of_range_components_do_not_alias_pairs():
             PairSet.of_pairs(universe, [ps])
         with pytest.raises(UniverseMismatchError):
             verdict_at(universe, ps, RelationKind.MAY)
+        with pytest.raises(InvalidPairError):
+            universe.composition.is_successful(ps)
 
 
 # -- dot export -----------------------------------------------------------------

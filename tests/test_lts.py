@@ -337,7 +337,7 @@ def test_kernels_match_their_definitions(succ_sets, data):
     succ = tuple(tuple(sorted(targets)) for targets in succ_sets)
     pred = tuple(tuple(u for u in range(n) if v in succ[u]) for v in range(n))
     nodes = st.frozensets(st.integers(0, n - 1))
-    seeds, sources, within = data.draw(nodes), data.draw(nodes), data.draw(nodes)
+    seeds, sources = data.draw(nodes), data.draw(nodes)
 
     least = frozenset()  # Kleene iteration of the attractor's defining step
     while True:
@@ -347,11 +347,10 @@ def test_kernels_match_their_definitions(succ_sets, data):
         least = step
     assert attractor(succ, pred, seeds) == least
 
-    closure = set(sources & within)
-    for _ in range(n):  # every node reachable inside within is n - 1 steps away
-        closure |= {v for u in closure for v in succ[u] if v in within}
-    assert reach(succ, sources, within) == closure
-    assert reach(succ, sources) == reach(succ, sources, frozenset(range(n)))
+    closure = set(sources)
+    for _ in range(n):  # every reachable node is at most n - 1 steps away
+        closure |= {v for u in closure for v in succ[u]}
+    assert reach(succ, sources) == closure
 
     roots = data.draw(st.lists(st.integers(0, n - 1), max_size=3))
     order = list(dict.fromkeys(roots))  # reference BFS: roots, then by layers
