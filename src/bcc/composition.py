@@ -21,7 +21,7 @@ from itertools import repeat
 from typing import Iterable, NamedTuple, Optional
 
 from .errors import InvalidPairError, PairExplosionError, UniverseMismatchError
-from .lts import TAU, ContractGraph, discover
+from .lts import TAU, ContractGraph, discover, reverse
 
 DEFAULT_MAX_PAIRS = 4096
 
@@ -148,11 +148,7 @@ class PairUniverse:
             ))
             raise ValueError(f"universe is not tau-closed: {ps!r} -> {t!r}") from None
 
-        preds = [[] for _ in codes]
-        for i, targets in enumerate(self.successors_idx):
-            for t in targets:
-                preds[t].append(i)
-        self.predecessors_idx = tuple(map(tuple, preds))
+        self.predecessors_idx = reverse(self.successors_idx)
 
         zero, n = composition.client.zero, composition.server.num_states
         zero_codes = range(0) if zero is None else range(zero * n, zero * n + n)

@@ -76,6 +76,10 @@ class PairSet:
         self._same_universe(other)
         return PairSet(self.universe, self.indices - other.indices)
 
+    def __xor__(self, other: "PairSet") -> "PairSet":
+        self._same_universe(other)
+        return PairSet(self.universe, self.indices ^ other.indices)
+
 
 def compliance_step(x: PairSet) -> PairSet:
     """One application of the compliance functional to x."""
@@ -138,12 +142,10 @@ class Classification:
 def classify(x: PairSet) -> Classification:
     """Compare x with one functional application of itself."""
     fx = compliance_step(x)
-    universe = x.universe
-    pre = sorted(fx.indices - x.indices)
-    post = sorted(x.indices - fx.indices)
+    pre, post = fx - x, x - fx
     return Classification(
-        is_pre=not pre,
-        is_post=not post,
-        pre_violations=tuple(universe.pairs[i] for i in pre),
-        post_violations=tuple(universe.pairs[i] for i in post),
+        is_pre=not pre.indices,
+        is_post=not post.indices,
+        pre_violations=pre.pairs(),
+        post_violations=post.pairs(),
     )

@@ -8,11 +8,11 @@ that is only merged or composed never builds them; tau-closures are searched
 on demand.  Graphs are immutable, and a racing first read of a table
 computes an equal value, so they may be read from any thread.
 
-The three graph kernels every layer of the package shares live here too:
-``reach`` (BFS closure) and ``attractor`` (counter-based dead-end
-propagation), both over integer adjacency tuples, and ``discover``, the
-bounded BFS that the compiler and the pair universes explore their state
-spaces with, over a successor function.
+The graph kernels every layer of the package shares live here too:
+``reach`` (BFS closure), ``attractor`` (counter-based dead-end propagation)
+and ``reverse`` (the predecessor table), all over integer adjacency tuples,
+and ``discover``, the bounded BFS that the compiler and the pair universes
+explore their state spaces with, over a successor function.
 """
 
 from __future__ import annotations
@@ -122,6 +122,15 @@ def reach(adj, sources) -> frozenset:
     return frozenset(seen)
 
 
+def reverse(adj) -> tuple:
+    """The predecessors of every node of ``adj``, each row in ascending order."""
+    pred = [[] for _ in adj]
+    for s, targets in enumerate(adj):
+        for t in targets:
+            pred[t].append(s)
+    return tuple(map(tuple, pred))
+
+
 def discover(record: dict, roots, successors, bound: int) -> bool:
     """Extend ``record`` (node -> ``successors(node)``) to the least
     superset of the roots closed under ``successors``: new roots first, in
@@ -152,7 +161,7 @@ def attractor(succ, pred, seeds) -> frozenset:
 
     Counter-based propagation, linear in the size of the graph: a node
     joins when its count of successors outside the set drops to zero.
-    ``pred`` must be ``succ`` reversed, edge for edge.
+    ``pred`` must be ``succ`` reversed, edge for edge, as ``reverse`` gives it.
     """
     outside = [len(targets) for targets in succ]
     inside = set(seeds)
@@ -237,14 +246,6 @@ class ContractGraph:
             tuple(t for (lab, t) in outs if lab.kind == INTERNAL) for outs in self._out
         )
 
-    def _tau_pred(self) -> list:
-        """The tau-predecessors of every state: ``_tau_adj`` reversed."""
-        pred = [[] for _ in range(self.num_states)]
-        for s, targets in enumerate(self._tau_adj):
-            for t in targets:
-                pred[t].append(s)
-        return pred
-
     # a state tau-reaches success, or weakly offers a visible action, iff it
     # tau-reaches a state where that is decided
 
@@ -252,7 +253,7 @@ class ContractGraph:
     def _reaches_zero(self) -> frozenset:
         if self.zero is None:
             return frozenset()
-        return reach(self._tau_pred(), (self.zero,))
+        return reach(reverse(self._tau_adj), (self.zero,))
 
     @cached_property
     def _weak(self) -> tuple:
@@ -261,7 +262,7 @@ class ContractGraph:
             for lab, _ in outs:
                 if lab.kind != INTERNAL:
                     offers.setdefault(lab, []).append(s)
-        tau_pred = self._tau_pred()
+        tau_pred = reverse(self._tau_adj)
         weak = [[] for _ in range(self.num_states)]
         for lab, sources in sorted(offers.items()):  # one cache key per label set
             for s in reach(tau_pred, sources):
@@ -275,7 +276,7 @@ class ContractGraph:
         tau_adj = self._tau_adj
         tau_stuck = (s for s in range(self.num_states) if not tau_adj[s])
         return frozenset(range(self.num_states)) - attractor(
-            tau_adj, self._tau_pred(), tau_stuck
+            tau_adj, reverse(tau_adj), tau_stuck
         )
 
     def _check_state(self, s: int) -> None:

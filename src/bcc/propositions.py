@@ -1,11 +1,6 @@
-"""Executable checks of the fixed-point structure of the six relations.
-
-Over any tau-closed universe: the least fixed point of the compliance
-functional coincides with the must restriction and the greatest with the
-progress restriction; should and beh restrictions are fixed points; the io
-restriction is post-fixed, the may restriction pre-fixed; and the expected
-inclusions between the relations hold pointwise.
-"""
+"""Executable checks of the six relations' fixed-point structure: each sits
+at its ``RelationKind`` row's place relative to the compliance functional,
+and the expected inclusions between them hold pointwise."""
 
 from __future__ import annotations
 
@@ -24,6 +19,16 @@ INCLUSIONS = (
     (RelationKind.SHOULD, RelationKind.MAY),
     (RelationKind.IO, RelationKind.PROGRESS),
 )
+
+# each place in report order: the proposition's name ({0}: the relation's
+# name, {1}: its code) and the pairs refuting that x, a restriction to u, sits there
+PLACES = {
+    "lfp": ("least-fixpoint-is-{0}", lambda u, x: least_fixpoint(u) ^ x),
+    "gfp": ("greatest-fixpoint-is-{0}", lambda u, x: greatest_fixpoint(u) ^ x),
+    "fix": ("{1}-is-fixed", lambda u, x: compliance_step(x) ^ x),
+    "post": ("{1}-is-post-fixed", lambda u, x: x - compliance_step(x)),
+    "pre": ("{1}-is-pre-fixed", lambda u, x: compliance_step(x) - x),
+}
 
 
 @dataclass(frozen=True)
@@ -46,23 +51,13 @@ def verify_universe(universe: PairUniverse, sets=None) -> list:
     pairs when a check fails."""
     if sets is None:
         sets = relation_sets(universe)
-    lfp, gfp = least_fixpoint(universe), greatest_fixpoint(universe)
-    # (name, x, y): the proposition x == y
-    equalities = [
-        ("least-fixpoint-is-must", lfp, sets[RelationKind.MUST]),
-        ("greatest-fixpoint-is-progress", gfp, sets[RelationKind.PROGRESS]),
-    ] + [
-        (f"{kind.value}-is-fixed", compliance_step(sets[kind]), sets[kind])
-        for kind in (RelationKind.SHOULD, RelationKind.BEH)
+    reports = [
+        _report(fmt.format(kind.name.lower(), kind.value), refute(universe, sets[kind]))
+        for place, (fmt, refute) in PLACES.items()
+        for kind in RelationKind
+        if kind.place == place
     ]
-    reports = [_report(name, (x - y) | (y - x)) for name, x, y in equalities]
-
-    io = sets[RelationKind.IO]
-    reports.append(_report("io-is-post-fixed", io - compliance_step(io)))
-    may = sets[RelationKind.MAY]
-    reports.append(_report("may-is-pre-fixed", compliance_step(may) - may))
-    reports += [
+    return reports + [
         _report(f"{smaller.value}-implies-{larger.value}", sets[smaller] - sets[larger])
         for smaller, larger in INCLUSIONS
     ]
-    return reports

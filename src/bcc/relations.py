@@ -1,19 +1,13 @@
 """Decision procedures for the six compliance relations on finite pairs.
 
-Each relation is decided over the tau-closed universe of the composition as
-one reachability question: which pairs can reach the relation's target set
-(its violations; for may-testing, success).  The same search decides a
-single root and yields its witness.  All relations requested for one root
-share the universe's stuck set and one BFS from the root.
-
 Success is absorbing: the client's success state has no moves, so every
 tau-successor of a successful pair is successful.  Every violation is an
 unsuccessful pair, so all its predecessors and every path to it are
 unsuccessful too, and a search need not be confined to unsuccessful pairs.
 
-Validation happens at the public entry points: ``evaluate`` builds its
-universe from valid graphs and ``verdict_at`` looks its root up.  The set
-evaluators and searches then read the universe's index tables and the
+Validation happens at the public entry points: ``evaluate`` checks its
+kinds and builds its universe from valid graphs, and ``verdict_at`` looks
+its root up.  The searches then read the universe's index tables and the
 graphs' weak-barb, divergence and success tables directly; each graph builds
 a table on its first read, so a decider pays only for the tables it reads.
 
@@ -33,48 +27,33 @@ from .composition import DEFAULT_MAX_PAIRS, Composition, PairState, PairUniverse
 from .lts import ContractGraph, attractor, reach
 
 
-class RelationKind(enum.Enum):
-    PROGRESS = "pg"
-    MUST = "mst"
-    SHOULD = "shd"
-    BEH = "beh"
-    IO = "io"
-    MAY = "may"
+def _must_targets(universe: PairUniverse) -> frozenset:
+    # stuck short of success, or starting an infinite tau-path that avoids it
+    successful, stuck = universe.successful_indices, universe.stuck_indices
+    everything = frozenset(range(len(universe)))
+    diverging = everything - attractor(
+        universe.successors_idx, universe.predecessors_idx, successful | stuck
+    )
+    return (stuck - successful) | diverging
 
 
-ALL_RELATIONS = tuple(RelationKind)
+def _should_targets(universe: PairUniverse) -> frozenset:
+    everything = frozenset(range(len(universe)))
+    return everything - reach(universe.predecessors_idx, universe.successful_indices)
 
 
-@dataclass(frozen=True)
-class Verdict:
-    """Outcome of one relation check.
-
-    For a failed Progress/Must/Should/Beh/Io check the witness is a tau-path
-    from the root ending at a pair violating the defining clause (for Must's
-    divergence case the path revisits a pair, exhibiting the loop).  For a
-    successful May check it is a tau-path to a successful pair.
-    """
-
-    kind: RelationKind
-    holds: bool
-    witness: Optional[tuple] = None
-
-
-# -- per-universe set evaluators ------------------------------------------
-
-
-def _beh_violations(universe: PairUniverse, progress: frozenset) -> frozenset:
+def _beh_targets(universe: PairUniverse) -> frozenset:
     reaches_zero = universe.client_graph._reaches_zero
     diverging = universe.server_graph._diverging
     n = universe.server_graph.num_states
-    return progress | frozenset(
+    return RelationKind.PROGRESS.targets(universe) | frozenset(
         i
         for i, code in enumerate(universe.codes)
         if code % n in diverging and code // n not in reaches_zero
     )
 
 
-def _io_violations(universe: PairUniverse) -> frozenset:
+def _io_targets(universe: PairUniverse) -> frozenset:
     client_weak = universe.client_graph._weak
     server_weak = universe.server_graph._weak
     n = universe.server_graph.num_states
@@ -91,36 +70,62 @@ def _io_violations(universe: PairUniverse) -> frozenset:
     return frozenset(bad)
 
 
-def _targets(universe: PairUniverse, kind: RelationKind) -> frozenset:
-    """The relation's targets.  The relation holds at a pair iff no target
-    is tau-reachable from it; may-testing holds iff one is."""
-    successful = universe.successful_indices
-    stuck = universe.stuck_indices
-    if kind is RelationKind.PROGRESS:
-        return stuck - successful
-    if kind is RelationKind.MAY:
-        return successful
-    if kind is RelationKind.SHOULD:
-        everything = frozenset(range(len(universe)))
-        return everything - reach(universe.predecessors_idx, successful)
-    if kind is RelationKind.BEH:
-        return _beh_violations(universe, stuck - successful)
-    if kind is RelationKind.IO:
-        return _io_violations(universe)
-    if kind is RelationKind.MUST:
-        # stuck short of success, or starting an infinite tau-path that avoids it
-        everything = frozenset(range(len(universe)))
-        diverging = everything - attractor(
-            universe.successors_idx, universe.predecessors_idx, successful | stuck
-        )
-        return (stuck - successful) | diverging
-    raise ValueError(f"unknown relation kind: {kind!r}")
+class RelationKind(enum.Enum):
+    """The paper's family of compliance relations, one row per relation.
+
+    A row holds a relation's code (its ``value``), place and search.  The
+    place is where its restriction to any tau-closed universe sits relative
+    to the compliance functional F: the least fixed point (must), the
+    greatest (progress), a fixed point (should, beh), post-fixed, R <= F(R)
+    (io), or pre-fixed, F(R) <= R (may).  ``targets(universe)`` is the
+    search: the pairs violating the relation's defining clause, or for may
+    the successful pairs.  The relation holds at a pair iff no target is
+    tau-reachable from it; may holds iff one is.
+    """
+
+    # a bare function would become a method, so each rides in its row's tuple
+    PROGRESS = ("pg", "gfp", lambda u: u.stuck_indices - u.successful_indices)
+    MUST = ("mst", "lfp", _must_targets)
+    SHOULD = ("shd", "fix", _should_targets)
+    BEH = ("beh", "fix", _beh_targets)
+    IO = ("io", "post", _io_targets)
+    MAY = ("may", "pre", lambda u: u.successful_indices)
+
+    def __new__(cls, code: str, place: str, targets):
+        member = object.__new__(cls)
+        member._value_ = code
+        member.place = place
+        member.targets = targets
+        return member
+
+
+ALL_RELATIONS = tuple(RelationKind)
+
+
+def _checked(kinds) -> tuple:
+    kinds = tuple(kinds)
+    for kind in kinds:
+        if not isinstance(kind, RelationKind):
+            raise ValueError(f"unknown relation kind: {kind!r}")
+    return kinds
+
+
+@dataclass(frozen=True)
+class Verdict:
+    """Outcome of one relation check.  The witness is the shortest tau-path
+    from the root to a target of the relation's search, if one is reachable;
+    when Must's target diverges, the path goes on until a pair repeats."""
+
+    kind: RelationKind
+    holds: bool
+    witness: Optional[tuple] = None
 
 
 def holding_indices(universe: PairUniverse, kind: RelationKind) -> frozenset:
     """Indices of the pairs at which the relation holds, each judged over
     the sub-universe reachable from that pair."""
-    reaching = reach(universe.predecessors_idx, _targets(universe, kind))
+    _checked([kind])
+    reaching = reach(universe.predecessors_idx, kind.targets(universe))
     if kind is RelationKind.MAY:
         return reaching
     return frozenset(range(len(universe))) - reaching
@@ -182,7 +187,7 @@ def _verdicts(universe: PairUniverse, root_idx: int, kinds) -> dict:
     dist = _distances(universe, root_idx)
     verdicts = {}
     for kind in kinds:
-        targets = _targets(universe, kind)
+        targets = kind.targets(universe)
         path = _shortest_path(universe, dist, targets)
         holds = (path is not None) if kind is RelationKind.MAY else (path is None)
         if kind is RelationKind.MUST and path and path[-1] not in stuck:
@@ -197,7 +202,7 @@ def _verdicts(universe: PairUniverse, root_idx: int, kinds) -> dict:
 def verdict_at(universe: PairUniverse, root: PairState, kind: RelationKind) -> Verdict:
     """Decide one relation for the contracts rooted at ``root`` inside an
     existing universe."""
-    return _verdicts(universe, universe.index_of(root), (kind,))[kind]
+    return _verdicts(universe, universe.index_of(root), _checked([kind]))[kind]
 
 
 # -- contract-level entry points -------------------------------------------
@@ -212,7 +217,7 @@ def evaluate(
 ) -> dict:
     """Decide the requested relations (all six by default) for one
     client/server pair, sharing a single universe and its root search."""
-    kinds = ALL_RELATIONS if kinds is None else tuple(kinds)
+    kinds = ALL_RELATIONS if kinds is None else _checked(kinds)
     composition = Composition(client, server)
     root = PairState(client.initial, server.initial)
     universe = composition.build_universe([root], max_pairs)

@@ -1,7 +1,7 @@
 import pytest
 
 from bcc import PairSet, RelationKind, restrict
-from bcc.propositions import INCLUSIONS, relation_sets, verify_universe
+from bcc.propositions import INCLUSIONS, PLACES, relation_sets, verify_universe
 from conftest import universe_of
 
 
@@ -19,9 +19,27 @@ def test_all_propositions_hold_on_single_pair_universes(graphs, p3_universe):
 
 def test_report_names_cover_fixed_points_and_inclusions(p3_universe):
     names = [r.name for r in verify_universe(p3_universe)]
-    assert names[:2] == ["least-fixpoint-is-must", "greatest-fixpoint-is-progress"]
+    assert names == [
+        "least-fixpoint-is-must",
+        "greatest-fixpoint-is-progress",
+        "shd-is-fixed",
+        "beh-is-fixed",
+        "io-is-post-fixed",
+        "may-is-pre-fixed",
+        "mst-implies-shd",
+        "mst-implies-beh",
+        "mst-implies-may",
+        "shd-implies-pg",
+        "beh-implies-pg",
+        "shd-implies-may",
+        "io-implies-pg",
+    ]
     assert len(names) == 6 + len(INCLUSIONS)
-    assert "shd-implies-may" in names
+
+
+def test_every_row_place_has_a_proposition():
+    assert list(PLACES) == ["lfp", "gfp", "fix", "post", "pre"]
+    assert {kind.place for kind in RelationKind} == set(PLACES)
 
 
 def test_doctored_sets_produce_counterexamples(p3_universe):

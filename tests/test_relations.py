@@ -13,7 +13,9 @@ from bcc import (
     compile_term,
     corpus,
     evaluate,
+    holding_indices,
     parse_term,
+    restrict,
     verdict_at,
 )
 from conftest import compiled_random_pair, universe_of
@@ -44,6 +46,35 @@ def test_corpus_matrix(graphs, pair, expected):
     verdicts = evaluate(client, server)
     got = tuple(verdicts[k].holds for k in RelationKind)
     assert got == expected
+
+
+def test_relation_table_rows():
+    rows = [(k.name, k.value, k.place) for k in RelationKind]
+    assert rows == [
+        ("PROGRESS", "pg", "gfp"),
+        ("MUST", "mst", "lfp"),
+        ("SHOULD", "shd", "fix"),
+        ("BEH", "beh", "fix"),
+        ("IO", "io", "post"),
+        ("MAY", "may", "pre"),
+    ]
+    assert all(RelationKind(k.value) is k for k in RelationKind)
+
+
+def test_a_kind_that_is_not_a_relation_kind_is_rejected(graphs):
+    client, server = graphs["p3"], graphs["q3"]
+    # max_pairs=1 would fail the universe build: the kinds are checked first
+    for kinds in (["pg"], [RelationKind.MUST, "may"], [None]):
+        with pytest.raises(ValueError, match="unknown relation kind"):
+            evaluate(client, server, kinds, max_pairs=1)
+    universe = universe_of(client, server)
+    root = PairState(client.initial, server.initial)
+    with pytest.raises(ValueError, match="unknown relation kind: 'pg'"):
+        verdict_at(universe, root, "pg")
+    with pytest.raises(ValueError, match="unknown relation kind: 'pg'"):
+        holding_indices(universe, "pg")
+    with pytest.raises(ValueError, match="unknown relation kind: 'pg'"):
+        restrict(universe, "pg")
 
 
 def test_progress_trivial_cases(graphs):
