@@ -1,25 +1,40 @@
 #!/usr/bin/env python3
-"""Time compiling and merging the graphs of ``verify-propositions --random``.
+"""Time compiling and merging the graphs of ``verify-propositions --random``,
+and count the garbage collections of that command.
 
     python3 scripts/merge_probe.py
 
-Compiles the 4000 terms of ``random_pairs(1, 2000)`` and merges the client
-and the server graphs, as ``verify-propositions`` does, and prints the best
-of 5 times for the compile and for the two merges together.  It takes no
-options, and exits 1 unless each merged graph equals the graph built from
-scratch on the renumbered union of its components' edges
+First runs ``bcc verify-propositions corpus --random 2000 --seed 1
+--max-pairs 100000`` in-process, and then the same command over those 2000
+pairs written to a contract file (as the benchmark's verify-random workload
+does), each twice, and prints the collections of the second, warm run by
+generation (0, 1, 2), counted through ``gc.callbacks``.  Then compiles the
+4000 terms of ``random_pairs(1, 2000)`` and merges the client and the server
+graphs, as ``verify-propositions`` does, and prints the best of 5 times for
+the compile and for the two merges together.  It takes no options, and
+exits 1 unless each compiled graph equals its rebuild through the validating
+``ContractGraph`` constructor and each merged graph equals the graph built
+from scratch on the renumbered union of its components' edges
 (``tests/oracles.union_brute``).
 """
 
+import contextlib
+import gc
+import io
 import sys
+import tempfile
 import time
+from pathlib import Path
 
 ROOT = __file__.rsplit("/scripts/", 1)[0]
 sys.path[:0] = [ROOT + "/src", ROOT + "/tests"]
 
-from bcc import compile_term, merge_graphs
+from bcc import ContractGraph, compile_term, merge_graphs, pretty
+from bcc.cli import main as bcc_main
 from bcc.generator import random_pairs
 from oracles import union_brute
+
+SEED, PAIRS = 1, 2000
 
 
 def best_of_5_ms(call) -> tuple:
@@ -32,14 +47,58 @@ def best_of_5_ms(call) -> tuple:
     return min(times), result
 
 
+def warm_collections(argv) -> list:
+    """Collections by generation of the second of two runs of ``argv``."""
+    counts = [0, 0, 0]
+
+    def count(phase, info):
+        if phase == "stop":
+            counts[info["generation"]] += 1
+
+    for warm in (False, True):
+        gc.collect()
+        if warm:
+            gc.callbacks.append(count)
+        try:
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = bcc_main(argv)
+        finally:
+            if warm:
+                gc.callbacks.remove(count)
+        if code not in (0, 1):
+            raise SystemExit(f"error: bcc {' '.join(argv)} exited {code}")
+    return counts
+
+
+def print_collections() -> None:
+    common = ["--max-pairs", "100000", "--json"]
+    with tempfile.TemporaryDirectory() as work:
+        lines = []
+        for i, (client, server) in enumerate(random_pairs(SEED, PAIRS), start=1):
+            lines += [f"p{i} = {pretty(client)}", f"q{i} = {pretty(server)}"]
+        Path(work, "pairs.bc").write_text("\n".join(lines) + "\n")
+        del lines
+        drawn = [ROOT + "/corpus", "--random", str(PAIRS), "--seed", str(SEED)]
+        runs = ((f"--random {PAIRS}", drawn), (f"of a {PAIRS}-pair file", [work]))
+        for name, args in runs:
+            counts = warm_collections(["verify-propositions", *args, *common])
+            print(f"collections, verify {name}: " + " ".join(map(str, counts)))
+
+
 def main() -> int:
-    terms = [term for pair in random_pairs(1, 2000) for term in pair]
+    print_collections()  # first, so the probe's own graphs are not on the heap
+    terms = [term for pair in random_pairs(SEED, PAIRS) for term in pair]
     compile_ms, graphs = best_of_5_ms(lambda: [compile_term(t) for t in terms])
     sides = {"client": graphs[0::2], "server": graphs[1::2]}
     merge_ms, merged = best_of_5_ms(lambda: [merge_graphs(side) for side in sides.values()])
     print(f"compile {len(terms)} terms: {compile_ms:8.1f} ms")
     print(f"merge both sides:    {merge_ms:8.1f} ms")
     wrong = False
+    for term, g in zip(terms, graphs):
+        rebuilt = ContractGraph(g.num_states, g.initial, g.edges, g.zero)
+        if (g._out, g.edges) != (rebuilt._out, rebuilt.edges):
+            print(f"error: {pretty(term)} compiles unlike its rebuild", file=sys.stderr)
+            wrong = True
     for (name, side), (graph, initials) in zip(sides.items(), merged):
         union, union_initials = union_brute(side)
         if (graph, graph._out, initials) != (union, union._out, union_initials):

@@ -18,7 +18,6 @@ import os
 import re
 import sys
 import time
-from itertools import chain
 from pathlib import Path
 
 from . import __version__
@@ -237,23 +236,40 @@ def _cmd_matrix(args) -> int:
 # -- verify-propositions ----------------------------------------------------
 
 
-def _cmd_verify(args) -> int:
-    start = time.perf_counter()
-    corpus = [(f"{c.name}‖{s.name}", c, s) for c, s in _corpus_pairs(args.corpus_dir)]
-    # drawn one at a time, so the collector never walks all pairs' terms
-    randoms = (
-        (f"random{i}", ContractDef("", c), ContractDef("", s))
-        for i, (c, s) in enumerate(iter_random_pairs(args.seed, args.random))
-    )
-    labels, graphs = [], []
-    for label, client, server in chain(corpus, randoms):
+def _verify_pairs(args):
+    """(label, client definition, server definition) of every pair to
+    verify, corpus pairs first.  Each pair is handed out once and then no
+    longer held here; random pairs are drawn one at a time."""
+    corpus = _corpus_pairs(args.corpus_dir)
+    corpus.reverse()
+    while corpus:
+        c, s = corpus.pop()
+        yield f"{c.name}‖{s.name}", c, s
+    for i, (c, s) in enumerate(iter_random_pairs(args.seed, args.random)):
+        yield f"random{i}", ContractDef("", c), ContractDef("", s)
+
+
+def _merged_pairs(args) -> tuple:
+    """The labels of the pairs to verify, and the merged client and server
+    graphs with every pair's initial states.  A pair's definitions are freed
+    once it is compiled, and the pairs' graphs once both sides are merged,
+    so the collector never walks what nothing will read again."""
+    labels, clients, servers = [], [], []
+    for label, client, server in _verify_pairs(args):
         labels.append(label)
-        graphs.append(_compile_pair(client, server, args.max_states))
+        client, server = _compile_pair(client, server, args.max_states)
+        clients.append(client)
+        servers.append(server)
     if not labels:
         raise BccError(f"no contract pairs found under {args.corpus_dir}")
-    client_graphs, server_graphs = zip(*graphs)
-    merged_client, client_initials = merge_graphs(client_graphs)
-    merged_server, server_initials = merge_graphs(server_graphs)
+    return (labels, *merge_graphs(clients), *merge_graphs(servers))
+
+
+def _cmd_verify(args) -> int:
+    start = time.perf_counter()
+    labels, merged_client, client_initials, merged_server, server_initials = (
+        _merged_pairs(args)
+    )
     composition = Composition(merged_client, merged_server)
     # greedy: keep each root whose closure still fits the bound (a root
     # that does not leaves the record as it was)

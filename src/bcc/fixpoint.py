@@ -34,17 +34,26 @@ class PairSet:
         if not all(0 <= i < len(self.universe) for i in self.indices):
             raise UniverseMismatchError("indices out of range for this universe")
 
+    @classmethod
+    def _of(cls, universe: PairUniverse, indices: frozenset) -> "PairSet":
+        """A set of indices known to be in range, as the universe's own
+        tables and set operations on its sets give them: not checked again."""
+        x = cls.__new__(cls)
+        object.__setattr__(x, "universe", universe)
+        object.__setattr__(x, "indices", indices)
+        return x
+
     @staticmethod
     def empty(universe: PairUniverse) -> "PairSet":
-        return PairSet(universe, frozenset())
+        return PairSet._of(universe, frozenset())
 
     @staticmethod
     def full(universe: PairUniverse) -> "PairSet":
-        return PairSet(universe, frozenset(range(len(universe))))
+        return PairSet._of(universe, frozenset(range(len(universe))))
 
     @staticmethod
     def of_pairs(universe: PairUniverse, pairs: Iterable[PairState]) -> "PairSet":
-        return PairSet(universe, frozenset(universe.index_of(p) for p in pairs))
+        return PairSet._of(universe, frozenset(universe.index_of(p) for p in pairs))
 
     def _same_universe(self, other: "PairSet") -> None:
         if self.universe is not other.universe:
@@ -66,19 +75,19 @@ class PairSet:
 
     def __or__(self, other: "PairSet") -> "PairSet":
         self._same_universe(other)
-        return PairSet(self.universe, self.indices | other.indices)
+        return PairSet._of(self.universe, self.indices | other.indices)
 
     def __and__(self, other: "PairSet") -> "PairSet":
         self._same_universe(other)
-        return PairSet(self.universe, self.indices & other.indices)
+        return PairSet._of(self.universe, self.indices & other.indices)
 
     def __sub__(self, other: "PairSet") -> "PairSet":
         self._same_universe(other)
-        return PairSet(self.universe, self.indices - other.indices)
+        return PairSet._of(self.universe, self.indices - other.indices)
 
     def __xor__(self, other: "PairSet") -> "PairSet":
         self._same_universe(other)
-        return PairSet(self.universe, self.indices ^ other.indices)
+        return PairSet._of(self.universe, self.indices ^ other.indices)
 
 
 def compliance_step(x: PairSet) -> PairSet:
@@ -89,14 +98,14 @@ def compliance_step(x: PairSet) -> PairSet:
     for i, succs in enumerate(universe.successors_idx):
         if succs and all(t in inside for t in succs):
             members.add(i)
-    return PairSet(universe, frozenset(members))
+    return PairSet._of(universe, frozenset(members))
 
 
 def least_fixpoint(universe: PairUniverse) -> PairSet:
     """The least fixed point: the attractor of the successful pairs, i.e.
     the successful pairs plus, repeatedly, every pair with a tau-step all of
     whose tau-successors are already in."""
-    return PairSet(
+    return PairSet._of(
         universe,
         attractor(
             universe.successors_idx,
@@ -112,13 +121,13 @@ def greatest_fixpoint(universe: PairUniverse) -> PairSet:
     one, since success is absorbing."""
     everything = frozenset(range(len(universe)))
     stuck = universe.stuck_indices - universe.successful_indices
-    return PairSet(universe, everything - reach(universe.predecessors_idx, stuck))
+    return PairSet._of(universe, everything - reach(universe.predecessors_idx, stuck))
 
 
 def restrict(universe: PairUniverse, kind: RelationKind) -> PairSet:
     """The relation's restriction to the universe: the pairs at which the
     decision procedure holds, each judged from its own reachable sub-universe."""
-    return PairSet(universe, holding_indices(universe, kind))
+    return PairSet._of(universe, holding_indices(universe, kind))
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .lang import _NAME_RE, _RESERVED, Choice, Nil, Prefix, Rec, Term, Var
+from .lang import _NAME_RE, _RESERVED, NIL, Choice, Prefix, Rec, Term, Var
 from .lts import TAU, inp, out
 
 _MASK = (1 << 64) - 1
@@ -112,7 +112,7 @@ class _Draw:
         if i:
             self.uses.append(sorted(guarded)[i - 1])
             return Var(self.uses[-1])
-        return Nil()
+        return NIL
 
     def gen(self, depth, guarded, unguarded):
         if depth == 0:

@@ -17,12 +17,19 @@ the enclosing open "(" and "rec X." bodies, each with its rec variable, the
 prefixes pending on its item and its left operand, so parenthesis depth is
 bounded by memory alone.  ``well_formed`` walks an explicit stack too.
 
+Terms are immutable and compare structurally, so parsed and generated terms
+share what they can: one ``Label`` per action (``lts.inp`` and ``lts.out``)
+and the one ``NIL``.
+
 Compilation interns terms into a table local to each call: a row
 (constructor, label | variable | name, child ids) per distinct term, so each
 unfolding is hashed once and equal terms share one integer id.  The table is
 one object that nothing refers back to, so it is freed when the call
 returns; walks are its methods or module-level functions, never closures
-that call themselves, which would tie a reference cycle.
+that call themselves, which would tie a reference cycle.  The compiler emits
+each state's canonical out-edge row itself, sorted and deduplicated, and
+hands the rows to ``ContractGraph._from_rows``: no edge list is built,
+sorted or validated again.
 """
 
 from __future__ import annotations
@@ -53,6 +60,9 @@ class Term:
 @dataclass(frozen=True)
 class Nil(Term):
     pass
+
+
+NIL = Nil()  # the one the parser and the generator build terms with
 
 
 @dataclass(frozen=True)
@@ -143,7 +153,7 @@ def _term(tokens, pos) -> tuple:
         kind, text, _, _ = tokens[pos]
         pos += 1
         if kind == "zero" or kind == "name":
-            t = Nil() if kind == "zero" else Var(text)
+            t = NIL if kind == "zero" else Var(text)
             while True:  # t completes an item of the current frame
                 for label in reversed(prefixes):
                     t = Prefix(label, t)
@@ -365,11 +375,11 @@ def compile_term(
     # the terminal row first, then discovery order (the sort is stable)
     order = sorted(record, key=lambda u: u != nil)
     number = {u: i for i, u in enumerate(order)}
-    edges = [
-        (number[u], lab, number[v])
-        for u, targets in record.items()
-        for (lab, _), v in zip(transitions(u), targets)
-    ]
-    return ContractGraph(
-        len(number), number[root], edges, 0 if nil in number else None, name=name
-    )
+    rows = []
+    for u in order:
+        # ordered by label, but not by target, and two moves may both
+        # collapse onto the terminal state, as in !a.0 + !a.(0 + 0)
+        row = [(lab, number[v]) for (lab, _), v in zip(transitions(u), record[u])]
+        rows.append(tuple(sorted(set(row)) if len(row) > 1 else row))
+    zero = 0 if nil in number else None
+    return ContractGraph._from_rows(len(order), number[root], tuple(rows), zero, name)

@@ -2,11 +2,19 @@
 
 States are dense integer ids.  A graph may own a distinguished *success*
 state: the unique state without outgoing edges (absent when the contract can
-never terminate).  Weak barbs, divergence and success reachability are
-tables built on first read, by backward search over tau-edges, so a graph
-that is only merged or composed never builds them; tau-closures are searched
-on demand.  Graphs are immutable, and a racing first read of a table
-computes an equal value, so they may be read from any thread.
+never terminate).  A graph stores its canonical out-edge rows; the public
+constructor validates and sorts an edge list into them, while the compiler
+and ``merge_graphs``, whose rows are canonical by construction, hand them to
+the trusted ``ContractGraph._from_rows``.  Weak barbs, divergence and
+success reachability are tables built on first read, by backward search over
+one shared tau-predecessor table, so a graph that is only merged or composed
+never builds them; tau-closures are searched on demand.  Graphs are
+immutable, and a racing first read of a table computes an equal value, so
+they may be read from any thread.
+
+Labels are immutable and compare structurally, so ``inp`` and ``out`` hand
+out one shared ``Label`` per action name (kept for the life of the process,
+one per distinct name seen).
 
 The graph kernels every layer of the package shares live here too:
 ``reach`` (BFS closure), ``attractor`` (counter-based dead-end propagation)
@@ -59,9 +67,9 @@ class Label:
     def dual(self) -> "Label":
         """?a <-> !a.  The internal action has no dual."""
         if self.kind == INPUT:
-            return Label(OUTPUT, self.name)
+            return out(self.name)
         if self.kind == OUTPUT:
-            return Label(INPUT, self.name)
+            return inp(self.name)
         raise ValueError("the internal action has no dual")
 
     def __str__(self) -> str:
@@ -73,10 +81,12 @@ class Label:
 TAU = Label(INTERNAL)
 
 
+@lru_cache(maxsize=None)
 def inp(name: str) -> Label:
     return Label(INPUT, name)
 
 
+@lru_cache(maxsize=None)
 def out(name: str) -> Label:
     return Label(OUTPUT, name)
 
@@ -131,6 +141,12 @@ def reverse(adj) -> tuple:
     return tuple(map(tuple, pred))
 
 
+def _is_state(s, num_states: int) -> bool:
+    """True iff s is a state id below num_states: a plain int, never a bool
+    or a float, which would index a different state or none."""
+    return type(s) is int and 0 <= s < num_states
+
+
 def discover(record: dict, roots, successors, bound: int) -> bool:
     """Extend ``record`` (node -> ``successors(node)``) to the least
     superset of the roots closed under ``successors``: new roots first, in
@@ -181,13 +197,14 @@ class ContractGraph:
     """Immutable finite LTS over {tau, ?a, !a} labels.
 
     ``zero`` is the id of the success state, or None when no state of the
-    graph is terminal.  Construction enforces that ``zero`` is the only
-    state without outgoing edges.  ``name`` is display-only and ignored by
-    equality.  Construction keeps only the edges and the out-edge rows; the
-    derived tables (``_tau_adj``, ``_reaches_zero``, ``_weak``,
+    graph is terminal.  The public constructor enforces that states are
+    plain ints (no bool or float) and that ``zero`` is the only state without
+    outgoing edges.  ``name`` is display-only and ignored by equality.  A
+    graph keeps its out-edge rows ``_out``; the public constructor keeps its
+    sorted edges too, while a graph from ``_from_rows`` (every compiled or
+    merged graph) builds ``edges`` on first read.  The derived tables
+    (``_tau_adj``, ``_tau_pred``, ``_reaches_zero``, ``_weak``,
     ``_diverging``) are built on first read and cached on the instance.
-    ``merge_graphs`` keeps only the rows, and ``edges`` is then built on
-    first read too.
     """
 
     def __init__(
@@ -198,37 +215,51 @@ class ContractGraph:
         zero: Optional[int],
         name: str = "",
     ):
+        if type(num_states) is not int:
+            raise ValueError(f"state count {num_states!r} is not an int")
         if num_states < 1:
             raise ValueError("a graph needs at least one state")
-        if not 0 <= initial < num_states:
-            raise ValueError(f"initial state {initial} out of range")
-        if zero is not None and not 0 <= zero < num_states:
-            raise ValueError(f"success state {zero} out of range")
+        if not _is_state(initial, num_states):
+            raise ValueError(f"initial state {initial!r} out of range")
+        if zero is not None and not _is_state(zero, num_states):
+            raise ValueError(f"success state {zero!r} out of range")
 
-        self.num_states = num_states
-        self.initial = initial
-        self.zero = zero
-        self.name = name
-        # sorted by (source, label kind, action name, target); keeps caller
-        # tuples, and stands in for the ``edges`` property below
-        self.edges = tuple(sorted(set(map(tuple, edges))))
-
-        outgoing = [[] for _ in range(num_states)]
-        for s, lab, t in self.edges:
+        edges = list(map(tuple, edges))
+        for s, lab, t in edges:
             if not isinstance(lab, Label):
                 raise ValueError(f"edge label {lab!r} is not a Label")
-            if not (0 <= s < num_states and 0 <= t < num_states):
-                raise ValueError(f"edge ({s}, {lab}, {t}) leaves the state range")
+            if not (_is_state(s, num_states) and _is_state(t, num_states)):
+                raise ValueError(f"edge ({s!r}, {lab}, {t!r}) leaves the state range")
+        # sorted by (source, label kind, action name, target); keeps caller
+        # tuples, and stands in for the ``edges`` property below
+        edges = tuple(sorted(set(edges)))
+        outgoing = [[] for _ in range(num_states)]
+        for s, lab, t in edges:
             outgoing[s].append((lab, t))
-        self._out = tuple(map(tuple, outgoing))
-
-        if zero is not None and self._out[zero]:
+        if zero is not None and outgoing[zero]:
             raise ValueError("the success state must have no outgoing edges")
         for s in range(num_states):
-            if s != zero and not self._out[s]:
+            if s != zero and not outgoing[s]:
                 raise ValueError(
                     f"state {s} has no outgoing edges but is not the success state"
                 )
+        self.num_states, self.initial, self.zero = num_states, initial, zero
+        self.name = name
+        self._out = tuple(map(tuple, outgoing))
+        self.edges = edges
+
+    @classmethod
+    def _from_rows(
+        cls, num_states: int, initial: int, rows: tuple, zero: Optional[int], name=""
+    ) -> "ContractGraph":
+        """A graph from canonical out-edge rows, trusted as they are: row s
+        holds the (label, target) edges out of s, sorted and distinct, and
+        only row ``zero`` is empty.  No check runs and no edge list is kept."""
+        graph = cls.__new__(cls)
+        graph.num_states, graph.initial, graph.zero = num_states, initial, zero
+        graph.name = name
+        graph._out = rows
+        return graph
 
     # -- derived tables, built on first read -------------------------------
 
@@ -250,10 +281,15 @@ class ContractGraph:
     # tau-reaches a state where that is decided
 
     @cached_property
+    def _tau_pred(self) -> tuple:
+        """The tau-predecessors of every state, ordered by state id."""
+        return reverse(self._tau_adj)
+
+    @cached_property
     def _reaches_zero(self) -> frozenset:
         if self.zero is None:
             return frozenset()
-        return reach(reverse(self._tau_adj), (self.zero,))
+        return reach(self._tau_pred, (self.zero,))
 
     @cached_property
     def _weak(self) -> tuple:
@@ -262,10 +298,9 @@ class ContractGraph:
             for lab, _ in outs:
                 if lab.kind != INTERNAL:
                     offers.setdefault(lab, []).append(s)
-        tau_pred = reverse(self._tau_adj)
         weak = [[] for _ in range(self.num_states)]
         for lab, sources in sorted(offers.items()):  # one cache key per label set
-            for s in reach(tau_pred, sources):
+            for s in reach(self._tau_pred, sources):
                 weak[s].append(lab)
         return tuple(_barb_set(tuple(labels)) for labels in weak)
 
@@ -276,11 +311,11 @@ class ContractGraph:
         tau_adj = self._tau_adj
         tau_stuck = (s for s in range(self.num_states) if not tau_adj[s])
         return frozenset(range(self.num_states)) - attractor(
-            tau_adj, reverse(tau_adj), tau_stuck
+            tau_adj, self._tau_pred, tau_stuck
         )
 
     def _check_state(self, s: int) -> None:
-        if not isinstance(s, int) or not 0 <= s < self.num_states:
+        if not _is_state(s, self.num_states):
             raise UnknownStateError(f"state {s!r} is not in this graph")
 
     # -- queries ---------------------------------------------------------
@@ -329,7 +364,7 @@ class ContractGraph:
             self.num_states == other.num_states
             and self.initial == other.initial
             and self.zero == other.zero
-            and self.edges == other.edges
+            and self._out == other._out
         )
 
     __hash__ = None
@@ -338,7 +373,7 @@ class ContractGraph:
         label = f" {self.name!r}" if self.name else ""
         return (
             f"<ContractGraph{label} states={self.num_states} "
-            f"edges={len(self.edges)} initial={self.initial} zero={self.zero}>"
+            f"edges={sum(map(len, self._out))} initial={self.initial} zero={self.zero}>"
         )
 
 
@@ -376,10 +411,8 @@ def merge_graphs(graphs: Sequence[ContractGraph]) -> tuple:
             rows.append(tuple(row))
         base += g.num_states - (zero is not None)
 
-    merged = ContractGraph.__new__(ContractGraph)
-    merged.num_states, merged.initial = base, initials[0]
-    merged.zero, merged.name = (0 if any_zero else None), ""
-    merged._out = tuple(rows)
+    zero = 0 if any_zero else None
+    merged = ContractGraph._from_rows(base, initials[0], tuple(rows), zero)
     return merged, tuple(initials)
 
 

@@ -7,13 +7,14 @@ import re
 import subprocess
 import sys
 import tempfile
+import weakref
 from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from bcc import Composition, PairState, corpus
+from bcc import Composition, PairState, cli, corpus, lang
 from bcc.cli import main
 from bcc.composition import DEFAULT_MAX_PAIRS, to_dot
 from bcc.corpus import EXAMPLES_SOURCE
@@ -414,6 +415,51 @@ def test_verify_propositions_keeps_padded_and_plain_numbers_apart(capsys, tmp_pa
     assert code == 0
     assert json.loads(out)["universe"] == {"pairs": 2, "roots": 1, "dropped": ["p1‖q1"]}
     assert err == "note: dropped pair p1‖q1: universe bound 2 exceeded\n"
+
+
+def test_verify_propositions_frees_terms_and_pair_graphs_before_deciding(
+    capsys, corpus_dir, monkeypatch
+):
+    # reference counting alone must free every parsed or drawn term once its
+    # pair is compiled, and every pair's graph once both sides are merged
+    refs = []
+
+    def parse(text):
+        defs = lang.parse(text)
+        refs.extend(weakref.ref(d) for d in defs)
+        refs.extend(weakref.ref(d.term) for d in defs if d.term is not lang.NIL)
+        return defs
+
+    def iter_random_pairs(*args):
+        for pair in cli_iter_random_pairs(*args):
+            refs.extend(weakref.ref(t) for t in pair if t is not lang.NIL)
+            yield pair
+
+    def merge_graphs(graphs):
+        refs.extend(map(weakref.ref, graphs))
+        return cli_merge_graphs(graphs)
+
+    alive = []
+
+    def relation_sets(universe):
+        alive.extend(r() for r in refs if r() is not None)
+        return cli_relation_sets(universe)
+
+    cli_iter_random_pairs = cli.iter_random_pairs
+    cli_merge_graphs = cli.merge_graphs
+    cli_relation_sets = cli.relation_sets
+    monkeypatch.setattr(cli, "parse", parse)
+    monkeypatch.setattr(cli, "iter_random_pairs", iter_random_pairs)
+    monkeypatch.setattr(cli, "merge_graphs", merge_graphs)
+    monkeypatch.setattr(cli, "relation_sets", relation_sets)
+    gc.disable()
+    try:
+        code, _, _ = run(capsys, "verify-propositions", corpus_dir, "--random", "20")
+    finally:
+        gc.enable()
+    assert code == 0
+    assert len(refs) > 2 * (8 + 40)  # defs, terms and graphs of 4 + 20 pairs
+    assert alive == []
 
 
 def test_verify_propositions_rejects_a_negative_random_count(capsys, corpus_dir):

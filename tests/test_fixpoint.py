@@ -234,6 +234,28 @@ def test_pair_sets_reject_universe_mixing(graphs):
         PairSet(u1, frozenset({99}))
 
 
+@pytest.mark.parametrize("bad", [-1, 2, 99], ids=["negative", "size", "far"])
+def test_pair_set_constructor_rejects_an_index_outside_the_universe(graphs, bad):
+    universe = universe_of(graphs["p1"], graphs["q1"])
+    assert len(universe) == 2
+    with pytest.raises(UniverseMismatchError):
+        PairSet(universe, frozenset({0, bad}))
+
+
+def test_internal_pair_sets_are_in_range(graphs):
+    # the operators, fixed points and restrictions skip the constructor's
+    # check, so each result must already be a valid subset of the universe
+    universe = random_universe(3)
+    x = PairSet.of_pairs(universe, universe.pairs[::2])
+    y = PairSet.of_pairs(universe, universe.pairs[::3])
+    results = [x | y, x & y, x - y, x ^ y, compliance_step(x)]
+    results += [least_fixpoint(universe), greatest_fixpoint(universe)]
+    results += [restrict(universe, kind) for kind in RelationKind]
+    for result in results:
+        assert result.universe is universe
+        assert result == PairSet(universe, result.indices)
+
+
 def test_pair_set_membership_and_pairs(graphs):
     universe = universe_of(graphs["p1"], graphs["q1"])
     s = PairSet.of_pairs(universe, [PairState(0, 0)])

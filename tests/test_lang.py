@@ -14,6 +14,7 @@ from bcc import (
     Prefix,
     Rec,
     StateExplosionError,
+    ContractGraph,
     Var,
     Violation,
     compile_term,
@@ -26,6 +27,7 @@ from bcc import (
     well_formed,
 )
 from bcc.generator import GenConfig, random_contract, random_pairs
+from bcc.lang import NIL
 from oracles import reference_compile, reference_parse, reference_parse_term
 
 
@@ -375,3 +377,61 @@ def test_compile_leaves_no_cyclic_garbage():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+# -- compiled rows against the validating constructor --------------------------
+
+TABLES = ("_tau_adj", "_tau_pred", "_reaches_zero", "_weak", "_diverging")
+
+
+def assert_compiles_to_canonical_rows(term):
+    g = compiled_or_bound(compile_term, term)
+    if isinstance(g, str):
+        return
+    # a fresh compile keeps only its rows: no edge list and no table
+    assert set(vars(g)) == {"num_states", "initial", "zero", "name", "_out"}
+    rebuilt = ContractGraph(g.num_states, g.initial, g.edges, g.zero)
+    assert g._out == rebuilt._out
+    assert g.edges == rebuilt.edges
+    for table in TABLES:
+        assert getattr(g, table) == getattr(rebuilt, table)
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "!a.0 + !a.(0 + 0)",  # two moves collapse onto the terminal state
+        "tau.(0 + 0) + tau.0 + tau.!a.0",
+        "rec X.(!b.X + !a.0 + !a.X + !a.(0 + 0))",
+        "rec X.(?a.rec Y.(tau.X + ?a.Y) + ?a.X)",
+    ],
+)
+def test_compile_emits_canonical_rows_on_tricky_shapes(source):
+    assert_compiles_to_canonical_rows(parse_term(source))
+
+
+def test_compile_emits_canonical_rows_on_generated_contracts():
+    for seed in range(300):
+        assert_compiles_to_canonical_rows(random_contract(GenConfig(seed=seed)))
+
+
+@settings(max_examples=200)
+@given(terms.filter(lambda t: well_formed(t) == []))
+def test_compile_emits_canonical_rows_on_arbitrary_asts(term):
+    assert_compiles_to_canonical_rows(term)
+
+
+def test_parse_shares_one_label_per_action_and_one_nil():
+    text = "p = !a.?b.0 + !a.(tau.0 + ?b.0)\nq = rec X.(!a.X + ?b.0 + tau.0)\n"
+    labels, nils = [], []
+    stack = [d.term for d in parse(text)] + [random_contract(GenConfig(seed=7))]
+    while stack:
+        t = stack.pop()
+        labels += [t.label] if isinstance(t, Prefix) else []
+        nils += [t] if isinstance(t, Nil) else []
+        stack += [getattr(t, f) for f in ("body", "left", "right") if hasattr(t, f)]
+    assert len(labels) > len(set(labels)) >= 3
+    assert len({id(lab) for lab in labels}) == len(set(labels))
+    assert inp("b") in labels  # and is the label lts.inp hands out
+    assert all(lab is inp("b") for lab in labels if lab == inp("b"))
+    assert len(nils) > 1 and all(nil is NIL for nil in nils)

@@ -54,6 +54,13 @@ def test_label_validation():
         Label(7, "a")
 
 
+def test_one_label_per_action():
+    assert inp("a") is inp("a") and out("a") is out("a")
+    assert inp("a") is not out("a")
+    assert inp("a").dual() is out("a") and out("b").dual() is inp("b")
+    assert inp("a") == Label(INPUT, "a")
+
+
 def test_label_ordering_is_kind_then_name():
     assert TAU < inp("a") < inp("b") < out("a")
     assert str(TAU) == "tau" and str(inp("a")) == "?a" and str(out("b")) == "!b"
@@ -76,6 +83,54 @@ def test_rejects_edges_out_of_zero():
 def test_rejects_dangling_edges():
     with pytest.raises(ValueError):
         ContractGraph(2, 1, [(1, out("a"), 5)], zero=0)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        (2, 0, [(0, TAU, 1.0)], 1),
+        (2, 0, [(0.0, TAU, 1)], 1),
+        (2, 0, [(0, TAU, True)], 1),
+        (2, 0, [(0, TAU, 1), (False, TAU, 1)], 1),
+        (2.0, 0, [(0, TAU, 1)], 1),
+        (True, 0, [], 0),
+        (2, 0.0, [(0, TAU, 1)], 1),
+        (2, False, [(0, TAU, 1)], 1),
+        (2, 0, [(0, TAU, 1)], 1.0),
+        (2, 0, [(0, TAU, 1)], True),
+    ],
+    ids=[
+        "float-target",
+        "float-source",
+        "bool-target",
+        "bool-source-beside-its-int",
+        "float-count",
+        "bool-count",
+        "float-initial",
+        "bool-initial",
+        "float-zero",
+        "bool-zero",
+    ],
+)
+def test_states_must_be_plain_ints(args):
+    with pytest.raises(ValueError):
+        ContractGraph(*args)
+
+
+@pytest.mark.parametrize("state", [True, False, 1.0, 0.0, "1", None])
+def test_queries_take_only_plain_int_states(state):
+    g = ContractGraph(2, 0, [(0, TAU, 1)], 1)
+    for query in (
+        g.out_edges,
+        lambda s: g.successors(s, TAU),
+        g.barbs,
+        g.tau_closure,
+        g.weak_barbs,
+        g.may_diverge,
+        g.weak_reaches_zero,
+    ):
+        with pytest.raises(UnknownStateError):
+            query(state)
 
 
 def test_unknown_state_errors(graphs):
@@ -245,7 +300,7 @@ def test_merge_preserves_behaviour_of_arbitrary_components(parts):
         assert_merge_preserves_components(rooted)
 
 
-TABLES = ("_tau_adj", "_reaches_zero", "_weak", "_diverging")
+TABLES = ("_tau_adj", "_tau_pred", "_reaches_zero", "_weak", "_diverging")
 
 # a success state numbered above a state it shares a label group with: the
 # renumbered edge into success must move to the front of its group
@@ -294,6 +349,9 @@ def test_tables_read_in_any_order_match_their_definitions(g):
     n = g.num_states
     expected = {
         "_tau_adj": tuple(tuple(sorted(raw_tau_targets(g, s))) for s in range(n)),
+        "_tau_pred": tuple(
+            tuple(u for u in range(n) if s in raw_tau_targets(g, u)) for s in range(n)
+        ),
         "_reaches_zero": {s for s in range(n) if reaches_zero_brute(g, s)},
         "_weak": tuple(
             BarbSet(*map(frozenset, weak_barbs_brute(g, s))) for s in range(n)
