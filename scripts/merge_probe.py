@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Time compiling and merging the graphs of ``verify-propositions --random``,
-and count the garbage collections of that command.
+"""Time parsing, compiling and merging the graphs of ``verify-propositions
+--random``, and count the garbage collections of that command.
 
     python3 scripts/merge_probe.py
 
@@ -8,14 +8,15 @@ First runs ``bcc verify-propositions corpus --random 2000 --seed 1
 --max-pairs 100000`` in-process, and then the same command over those 2000
 pairs written to a contract file (as the benchmark's verify-random workload
 does), each twice, and prints the collections of the second, warm run by
-generation (0, 1, 2), counted through ``gc.callbacks``.  Then compiles the
-4000 terms of ``random_pairs(1, 2000)`` and merges the client and the server
-graphs, as ``verify-propositions`` does, and prints the best of 5 times for
-the compile and for the two merges together.  It takes no options, and
-exits 1 unless each compiled graph equals its rebuild through the validating
-``ContractGraph`` constructor and each merged graph equals the graph built
-from scratch on the renumbered union of its components' edges
-(``tests/oracles.union_brute``).
+generation (0, 1, 2), counted through ``gc.callbacks``.  Then parses that
+file, compiles the 4000 terms of ``random_pairs(1, 2000)`` and merges the
+client and the server graphs, as ``verify-propositions`` does, and prints
+the best of 5 times for the parse, the compile and the two merges together.
+It takes no options, and exits 1 unless the parse equals
+``tests/oracles.reference_parse`` on the same text, each compiled graph
+equals its rebuild through the validating ``ContractGraph`` constructor and
+each merged graph equals the graph built from scratch on the renumbered
+union of its components' edges (``tests/oracles.union_brute``).
 """
 
 import contextlib
@@ -29,10 +30,10 @@ from pathlib import Path
 ROOT = __file__.rsplit("/scripts/", 1)[0]
 sys.path[:0] = [ROOT + "/src", ROOT + "/tests"]
 
-from bcc import ContractGraph, compile_term, merge_graphs, pretty
+from bcc import ContractGraph, compile_term, merge_graphs, parse, pretty
 from bcc.cli import main as bcc_main
 from bcc.generator import random_pairs
-from oracles import union_brute
+from oracles import reference_parse, union_brute
 
 SEED, PAIRS = 1, 2000
 
@@ -70,14 +71,18 @@ def warm_collections(argv) -> list:
     return counts
 
 
-def print_collections() -> None:
+def pairs_text() -> str:
+    """The contract file of the drawn pairs, as the benchmark writes it."""
+    lines = []
+    for i, (client, server) in enumerate(random_pairs(SEED, PAIRS), start=1):
+        lines += [f"p{i} = {pretty(client)}", f"q{i} = {pretty(server)}"]
+    return "\n".join(lines) + "\n"
+
+
+def print_collections(text: str) -> None:
     common = ["--max-pairs", "100000", "--json"]
     with tempfile.TemporaryDirectory() as work:
-        lines = []
-        for i, (client, server) in enumerate(random_pairs(SEED, PAIRS), start=1):
-            lines += [f"p{i} = {pretty(client)}", f"q{i} = {pretty(server)}"]
-        Path(work, "pairs.bc").write_text("\n".join(lines) + "\n")
-        del lines
+        Path(work, "pairs.bc").write_text(text)
         drawn = [ROOT + "/corpus", "--random", str(PAIRS), "--seed", str(SEED)]
         runs = ((f"--random {PAIRS}", drawn), (f"of a {PAIRS}-pair file", [work]))
         for name, args in runs:
@@ -86,14 +91,20 @@ def print_collections() -> None:
 
 
 def main() -> int:
-    print_collections()  # first, so the probe's own graphs are not on the heap
+    text = pairs_text()
+    print_collections(text)  # first, so the probe's own graphs are not on the heap
+    parse_ms, defs = best_of_5_ms(lambda: parse(text))
+    print(f"parse {PAIRS}-pair file: {parse_ms:8.1f} ms")
+    wrong = defs != reference_parse(text)
+    if wrong:
+        print("error: the pair file parses unlike the reference parser", file=sys.stderr)
+    del defs
     terms = [term for pair in random_pairs(SEED, PAIRS) for term in pair]
     compile_ms, graphs = best_of_5_ms(lambda: [compile_term(t) for t in terms])
     sides = {"client": graphs[0::2], "server": graphs[1::2]}
     merge_ms, merged = best_of_5_ms(lambda: [merge_graphs(side) for side in sides.values()])
     print(f"compile {len(terms)} terms: {compile_ms:8.1f} ms")
     print(f"merge both sides:    {merge_ms:8.1f} ms")
-    wrong = False
     for term, g in zip(terms, graphs):
         rebuilt = ContractGraph(g.num_states, g.initial, g.edges, g.zero)
         if (g._out, g.edges) != (rebuilt._out, rebuilt.edges):

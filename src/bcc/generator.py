@@ -27,7 +27,7 @@ _PREFIX_SHARE = 0.75
 _REC_RETRIES = 8
 
 # largest accepted max_depth: drawing and compiling a term recurse about once
-# (compile's substitution twice) per level, well inside the recursion limit
+# per level, well inside the recursion limit
 MAX_DEPTH = 200
 
 

@@ -11,31 +11,38 @@ Grammar (one definition per line, '#' starts a comment):
 Prefix binds tighter than "+"; "rec" extends to the right as far as
 possible.  "tau" and "rec" are reserved words.
 
-A line is tokenized whole, so a bad character wins over any syntax error,
-and then parsed by one loop, not one call per grammar rule: a stack holds
-the enclosing open "(" and "rec X." bodies, each with its rec variable, the
-prefixes pending on its item and its left operand, so parenthesis depth is
-bounded by memory alone.  ``well_formed`` walks an explicit stack too.
+A line is tokenized whole, by one ``findall`` of a lexeme regex built from
+the name rule, into plain strings; a bad character is the regex's catch-all
+lexeme, so it wins over any syntax error.  A token's column is worked out,
+from the same regex, only for an error message.  The line is then parsed by
+one loop, not one call per grammar rule: a stack holds the enclosing open
+"(" and "rec X." bodies, each with its rec variable, the prefixes pending on
+its item and its left operand, so parenthesis depth is bounded by memory
+alone.  ``well_formed`` walks an explicit stack too.
 
 Terms are immutable and compare structurally, so parsed and generated terms
 share what they can: one ``Label`` per action (``lts.inp`` and ``lts.out``)
 and the one ``NIL``.
 
-Compilation interns terms into a table local to each call: a row
-(constructor, label | variable | name, child ids) per distinct term, so each
-unfolding is hashed once and equal terms share one integer id.  The table is
-one object that nothing refers back to, so it is freed when the call
-returns; walks are its methods or module-level functions, never closures
-that call themselves, which would tie a reference cycle.  The compiler emits
-each state's canonical out-edge row itself, sorted and deduplicated, and
-hands the rows to ``ContractGraph._from_rows``: no edge list is built,
-sorted or validated again.
+Compilation interns terms into a table local to each call: one plain tuple
+of ints, strs and ``(kind, name)`` labels per distinct term, so each
+unfolding is hashed once, in C, and equal terms share one integer id; no
+``Term`` or ``Label`` is hashed or compared, and only the emitted rows hold
+the shared ``Label`` objects.  Substitution recurses once per nesting level,
+as interning does.  The table is one object that nothing refers back to, so
+it is freed when the call returns; walks are its methods or module-level
+functions, never closures that call themselves, which would tie a reference
+cycle.  The compiler emits each state's canonical out-edge row itself,
+sorted and deduplicated, and hands the rows to ``ContractGraph._from_rows``:
+no edge list is built, sorted or validated again.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
+from operator import itemgetter
 
 from .errors import (
     DuplicateNameError,
@@ -43,7 +50,7 @@ from .errors import (
     ParseError,
     StateExplosionError,
 )
-from .lts import TAU, ContractGraph, Label, discover, inp, out
+from .lts import INPUT, INTERNAL, TAU, ContractGraph, Label, discover, inp, out
 
 DEFAULT_MAX_STATES = 1024
 
@@ -106,96 +113,104 @@ class ContractDef:
 
 # -- tokenizer -----------------------------------------------------------
 
+# one lexeme after optional blanks: a name (or reserved word), "0", a
+# punctuation mark, or a bad character together with the rest of the line,
+# so that a bad character can only be the last lexeme
+_PUNCT = "?!.+()="
+_LEXEME_RE = re.compile(
+    rf"[ \t]*({_NAME_RE.pattern}|[0{re.escape(_PUNCT)}]|[^ \t].*)", re.DOTALL
+)
+# the lexemes that are neither "0" nor a name, with "" for the end of a line
+_SYMBOLS = frozenset(_PUNCT) | frozenset(_RESERVED) | {""}
+_NOT_NAMES = _SYMBOLS | {"0"}
+
 
 def _tokenize(text: str, line_no: int) -> list:
-    tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch in " \t":
-            i += 1
-            continue
-        col = i + 1
-        if ch == "0":
-            tokens.append(("zero", "0", line_no, col))
-            i += 1
-        elif ch in "?!.+()=":
-            tokens.append(("punct", ch, line_no, col))
-            i += 1
-        else:
-            m = _NAME_RE.match(text, i)
-            if not m:
-                raise ParseError(f"unexpected character {ch!r}", line_no, col)
-            word = m.group()
-            kind = word if word in _RESERVED else "name"
-            tokens.append((kind, word, line_no, col))
-            i = m.end()
-    tokens.append(("eof", "", line_no, len(text) + 1))
+    """The lexemes of one line, then "" for its end."""
+    tokens = _LEXEME_RE.findall(text)
+    last = tokens[-1] if tokens else ""
+    if last not in _NOT_NAMES and not _NAME_RE.match(last):
+        column = len(text) - len(last) + 1
+        raise ParseError(f"unexpected character {last[0]!r}", line_no, column)
+    tokens.append("")
     return tokens
 
 
-def _fail(token, what) -> ParseError:
-    _, text, line, col = token
-    return ParseError(f"expected {what}, found {text or 'end of line'!r}", line, col)
+def _column(text: str, pos: int) -> int:
+    """The column of lexeme ``pos`` of the line ``text``, or of its end:
+    worked out only for an error message."""
+    for i, m in enumerate(_LEXEME_RE.finditer(text)):
+        if i == pos:
+            return m.start(1) + 1
+    return len(text) + 1
 
 
-def _end(tokens, pos, what) -> None:
-    kind, text, line, col = tokens[pos]
-    if kind != "eof":
-        raise ParseError(f"unexpected {text!r} after {what}", line, col)
+def _fail(line, tokens, pos, what) -> ParseError:
+    text, line_no = line
+    found = tokens[pos] or "end of line"
+    return ParseError(f"expected {what}, found {found!r}", line_no, _column(text, pos))
 
 
-def _term(tokens, pos) -> tuple:
-    """The term starting at ``tokens[pos]`` and the position after it."""
+def _end(line, tokens, pos, what) -> None:
+    if tokens[pos]:
+        text, line_no = line
+        message = f"unexpected {tokens[pos]!r} after {what}"
+        raise ParseError(message, line_no, _column(text, pos))
+
+
+def _term(line, tokens, pos) -> tuple:
+    """The term starting at ``tokens[pos]`` and the position after it;
+    ``line`` is the (text, number) of the line, read only on an error."""
     frames = []  # the open "(" and "rec X." bodies around the current one
     var, prefixes, left = None, [], None
     while True:
-        kind, text, _, _ = tokens[pos]
+        text = tokens[pos]
         pos += 1
-        if kind == "zero" or kind == "name":
-            t = NIL if kind == "zero" else Var(text)
+        if text not in _SYMBOLS:  # "0" or a name
+            t = NIL if text == "0" else Var(text)
             while True:  # t completes an item of the current frame
                 for label in reversed(prefixes):
                     t = Prefix(label, t)
                 prefixes, left = [], t if left is None else Choice(left, t)
-                if tokens[pos][1] == "+":
+                if tokens[pos] == "+":
                     pos += 1
                     break
                 if not frames:
                     return left, pos
                 if var is not None:
                     t = Rec(var, left)
-                elif tokens[pos][1] == ")":
+                elif tokens[pos] == ")":
                     pos, t = pos + 1, left
                 else:
-                    raise _fail(tokens[pos], "')'")
+                    raise _fail(line, tokens, pos, "')'")
                 var, prefixes, left = frames.pop()
             continue
         name = None
         if text in ("rec", "tau", "?", "!"):  # "rec X.", "tau.", "?a." or "!a."
             if text != "tau":
-                if tokens[pos][0] != "name":
+                if tokens[pos] in _NOT_NAMES:
                     what = "a recursion variable" if text == "rec" else "an action name"
-                    raise _fail(tokens[pos], what)
-                name, pos = tokens[pos][1], pos + 1
-            if tokens[pos][1] != ".":
-                raise _fail(tokens[pos], "'.'")
+                    raise _fail(line, tokens, pos, what)
+                name, pos = tokens[pos], pos + 1
+            if tokens[pos] != ".":
+                raise _fail(line, tokens, pos, "'.'")
             pos += 1
             if text != "rec":
                 label = TAU if name is None else inp(name) if text == "?" else out(name)
                 prefixes.append(label)
                 continue
         elif text != "(":
-            raise _fail(tokens[pos - 1], "a term")
+            raise _fail(line, tokens, pos - 1, "a term")
         frames.append((var, prefixes, left))
         var, prefixes, left = name, [], None
 
 
 def parse_term(text: str) -> Term:
     """Parse a single term (newlines are treated as spaces)."""
-    tokens = _tokenize(text.replace("\n", " "), 1)
-    t, pos = _term(tokens, 0)
-    _end(tokens, pos, "term")
+    line = (text.replace("\n", " "), 1)
+    tokens = _tokenize(*line)
+    t, pos = _term(line, tokens, 0)
+    _end(line, tokens, pos, "term")
     return t
 
 
@@ -207,14 +222,15 @@ def parse(text: str) -> list:
         stripped = raw.split("#", 1)[0]
         if not stripped.strip():
             continue
+        line = (stripped, line_no)
         tokens = _tokenize(stripped, line_no)
-        if tokens[0][0] != "name":
-            raise _fail(tokens[0], "a contract name")
-        if tokens[1][1] != "=":
-            raise _fail(tokens[1], "'='")
-        term, pos = _term(tokens, 2)
-        _end(tokens, pos, "definition")
-        name = tokens[0][1]
+        if tokens[0] in _NOT_NAMES:
+            raise _fail(line, tokens, 0, "a contract name")
+        if tokens[1] != "=":
+            raise _fail(line, tokens, 1, "'='")
+        term, pos = _term(line, tokens, 2)
+        _end(line, tokens, pos, "definition")
+        name = tokens[0]
         if name in first_line:
             raise DuplicateNameError(
                 f"duplicate contract name {name!r} "
@@ -288,56 +304,85 @@ def well_formed(t: Term) -> list:
 # -- compilation ---------------------------------------------------------
 
 
+# the constructor codes of term-table rows
+_NIL, _VAR, _PREFIX, _CHOICE, _REC = range(5)
+
+
 class _TermTable:
-    """The term table of one compile: row (class, label | var | name, *child
-    ids) <-> int id, with ``subst`` and ``transitions`` memoised on ids."""
+    """The term table of one compile: plain-tuple rows <-> int ids, with
+    ``subst`` and ``transitions`` memoised on ids.  A row is ``(_NIL,)``
+    (always id 0), ``(_VAR, name)``, ``(_PREFIX, (kind, name), child)``,
+    ``(_CHOICE, left, right)`` or ``(_REC, var, body)``: ints, strs and
+    labels as ``(kind, name)`` tuples, which hash and compare in C and sort
+    as ``Label`` does."""
 
     def __init__(self):
-        self.rows = []
-        self.ids = {}
+        self.rows = [(_NIL,)]
+        self.ids = {(_NIL,): 0}
         self.substituted = {}
         self.moves = {}
-        self.nil = self.row(Nil, None)
 
-    def row(self, *r) -> int:
-        if r not in self.ids:
-            self.ids[r] = len(self.rows)
+    def row(self, r: tuple) -> int:
+        n = len(self.rows)
+        u = self.ids.setdefault(r, n)
+        if u == n:
             self.rows.append(r)
-        return self.ids[r]
+        return u
 
     def intern(self, t: Term) -> int:
         if isinstance(t, Prefix):
-            return self.row(Prefix, t.label, self.intern(t.body))
+            lab = t.label
+            return self.row((_PREFIX, (lab.kind, lab.name), self.intern(t.body)))
         if isinstance(t, Choice):
-            return self.row(Choice, None, self.intern(t.left), self.intern(t.right))
+            return self.row((_CHOICE, self.intern(t.left), self.intern(t.right)))
         if isinstance(t, Rec):
-            return self.row(Rec, t.var, self.intern(t.body))
-        return self.nil if isinstance(t, Nil) else self.row(Var, t.name)
+            return self.row((_REC, t.var, self.intern(t.body)))
+        return 0 if isinstance(t, Nil) else self.row((_VAR, t.name))
 
-    def subst(self, u: int, rec: int) -> int:
-        """Row u with the variable bound by Rec row ``rec`` replaced by it."""
-        cls, data, *kids = self.rows[u]
-        var = self.rows[rec][1]
-        if cls is Var and data == var:
-            return rec
-        if cls in (Nil, Var) or (cls is Rec and data == var):
+    def subst(self, u: int, rec: int, var: str) -> int:
+        """Row u with ``var``, bound by Rec row ``rec``, replaced by it."""
+        r = self.rows[u]
+        op = r[0]
+        if op == _VAR:
+            return rec if r[1] == var else u
+        if op == _NIL or (op == _REC and r[1] == var):
             return u  # no variable to replace, or shadowed
-        if (u, rec) not in self.substituted:
-            kids = [self.subst(k, rec) for k in kids]
-            self.substituted[u, rec] = self.row(cls, data, *kids)
-        return self.substituted[u, rec]
+        done = self.substituted.get((u, rec))
+        if done is None:
+            if op == _CHOICE:
+                left = self.subst(r[1], rec, var)
+                done = self.row((_CHOICE, left, self.subst(r[2], rec, var)))
+            else:
+                done = self.row((op, r[1], self.subst(r[2], rec, var)))
+            self.substituted[u, rec] = done
+        return done
 
     def transitions(self, u: int) -> tuple:
         """Initial (label, target id) moves, deduplicated, ordered by label."""
-        cls, data, *kids = self.rows[u]
-        if cls is Prefix:
-            return ((data, kids[0]),)
-        if cls is Choice and u not in self.moves:
-            both = self.transitions(kids[0]) + self.transitions(kids[1])
-            self.moves[u] = tuple(sorted(dict.fromkeys(both), key=lambda m: m[0]))
-        elif cls is Rec and u not in self.moves:
-            self.moves[u] = self.transitions(self.subst(kids[0], u))
-        return self.moves.get(u, ())
+        r = self.rows[u]
+        op = r[0]
+        if op == _PREFIX:
+            return ((r[1], r[2]),)
+        if op == _NIL or op == _VAR:
+            return ()
+        moves = self.moves.get(u)
+        if moves is None:
+            if op == _CHOICE:
+                both = self.transitions(r[1]) + self.transitions(r[2])
+                # stable on the label alone: the order of the targets of one
+                # label is the discovery order of the states
+                moves = tuple(sorted(dict.fromkeys(both), key=itemgetter(0)))
+            else:
+                moves = self.transitions(self.subst(r[2], u, r[1]))
+            self.moves[u] = moves
+        return moves
+
+
+@lru_cache(maxsize=None)
+def _shared_label(lab: tuple) -> Label:
+    """The shared ``Label`` of a row label ``(kind, name)``."""
+    kind, action = lab
+    return TAU if kind == INTERNAL else inp(action) if kind == INPUT else out(action)
 
 
 def compile_term(
@@ -356,15 +401,13 @@ def compile_term(
     if violations:
         raise IllFormedError(violations)
     table = _TermTable()
-    transitions, nil = table.transitions, table.nil
-
-    def key(u):
-        return nil if not transitions(u) else u
+    transitions = table.transitions
 
     def successors(u):
-        return [key(v) for _, v in transitions(u)]
+        return [v if transitions(v) else 0 for _, v in transitions(u)]
 
-    root = key(table.intern(term))
+    root = table.intern(term)
+    root = root if transitions(root) else 0
     record = {}
     if not discover(record, (root,), successors, max_states):
         raise StateExplosionError(
@@ -372,14 +415,18 @@ def compile_term(
             + (f" {name!r}" if name else "")
         )
 
-    # the terminal row first, then discovery order (the sort is stable)
-    order = sorted(record, key=lambda u: u != nil)
+    # the terminal row (id 0) first, then discovery order (the sort is stable)
+    order = sorted(record, key=bool)
     number = {u: i for i, u in enumerate(order)}
     rows = []
     for u in order:
+        moves, targets = transitions(u), record[u]
+        if len(moves) == 1:
+            rows.append(((_shared_label(moves[0][0]), number[targets[0]]),))
+            continue
         # ordered by label, but not by target, and two moves may both
         # collapse onto the terminal state, as in !a.0 + !a.(0 + 0)
-        row = [(lab, number[v]) for (lab, _), v in zip(transitions(u), record[u])]
-        rows.append(tuple(sorted(set(row)) if len(row) > 1 else row))
-    zero = 0 if nil in number else None
+        row = sorted({(lab, number[v]) for (lab, _), v in zip(moves, targets)})
+        rows.append(tuple([(_shared_label(lab), v) for lab, v in row]))
+    zero = 0 if 0 in number else None
     return ContractGraph._from_rows(len(order), number[root], tuple(rows), zero, name)

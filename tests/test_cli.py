@@ -188,6 +188,20 @@ def test_check_long_prefix_chain(capsys, tmp_path, length):
     )
 
 
+def test_check_long_rec_loop_gets_a_verdict(capsys, tmp_path):
+    # substitution takes one frame per prefix, as interning does
+    path = tmp_path / "loop.bc"
+    path.write_text(f"p = rec X.{'!a.' * 800}X\nq = rec Y.?a.Y\n")
+    code, out, _ = run(
+        capsys, "check", str(path), "p", str(path), "q", "--all", "--json"
+    )
+    assert code == 1
+    (entry,) = json.loads(out)["pairs"]
+    assert entry["verdicts"] == {
+        "pg": True, "mst": False, "shd": False, "beh": True, "io": True, "may": False
+    }
+
+
 LATIN_1_SOURCE = "# caf\xe9\np1 = !a.0\nq1 = ?a.0\n".encode("latin-1")
 
 

@@ -28,6 +28,7 @@ from bcc import (
 )
 from bcc.generator import GenConfig, random_contract, random_pairs
 from bcc.lang import NIL
+from bcc.lts import INPUT, INTERNAL, Label
 from oracles import reference_compile, reference_parse, reference_parse_term
 
 
@@ -287,6 +288,23 @@ def test_parse_matches_reference(first, second):
         assert parsed_or_error(parse, text) == parsed_or_error(reference_parse, text)
 
 
+# inputs where the lexeme regex could split a line differently from the
+# character loop: a reserved word or "0" inside a name, "0" against a digit,
+# the column after a tab, a non-ASCII letter, a carriage return, a reserved
+# word where a name must be, and a definition with no term
+@pytest.mark.parametrize(
+    "source",
+    ["taux", "a0", "01", "\t$", "!a.\xe9", "!a.0\r", "rec tau.0", "p ="],
+    ids=["taux", "a0", "01", "tab-then-bad", "e-acute", "trailing-cr", "rec-tau", "p-eq"],
+)
+def test_lexer_edge_cases_match_reference(source):
+    assert parsed_or_error(parse_term, source) == parsed_or_error(
+        reference_parse_term, source
+    )
+    for text in (source, f"p = {source}", f"p = !a.0\n{source}"):
+        assert parsed_or_error(parse, text) == parsed_or_error(reference_parse, text)
+
+
 def chain_depth(t):
     """Prefix and Rec levels above a term's innermost body, and that body,
     counted without recursion (``==`` on deep terms would recurse)."""
@@ -362,6 +380,33 @@ def test_compile_hashes_no_term(monkeypatch):
     for cls in (Nil, Prefix, Choice, Rec, Var):
         monkeypatch.setattr(cls, "__hash__", refuse)
     assert [compile_term(d.term, name=d.name) for d in defs] == expected
+
+
+def shared(lab):
+    return TAU if lab.kind == INTERNAL else inp(lab.name) if lab.kind == INPUT else out(lab.name)
+
+
+def test_compile_runs_no_label_method_and_emits_shared_labels(monkeypatch):
+    # the term table keeps labels as (kind, name) tuples, so a compile hashes
+    # and compares no Label, and its rows hold the shared label of each action
+    terms = [d.term for d in corpus.example_definitions()]
+    terms += [random_contract(GenConfig(seed=seed)) for seed in range(300)]
+    # labels built directly are equal to the shared ones, but not them
+    terms.append(Prefix(Label(INPUT, "a"), Choice(Prefix(Label(INTERNAL), NIL), NIL)))
+    assert terms[-1].label is not inp("a")
+    expected = [compiled_or_bound(reference_compile, t) for t in terms]
+
+    def refuse(self, *other):
+        raise AssertionError(f"compared or hashed the label {self!r}")
+
+    with monkeypatch.context() as patched:
+        for method in ("__hash__", "__eq__", "__lt__", "__le__", "__gt__", "__ge__"):
+            patched.setattr(Label, method, refuse)
+        graphs = [compiled_or_bound(compile_term, t) for t in terms]
+    assert graphs == expected
+    for term, g in zip(terms, graphs):
+        if not isinstance(g, str):
+            assert all(lab is shared(lab) for row in g._out for lab, _ in row), pretty(term)
 
 
 def test_compile_leaves_no_cyclic_garbage():

@@ -75,11 +75,13 @@ def test_merge_probe_prints_compile_and_merge_times():
         timeout=300,
     )
     assert done.returncode == 0, done.stderr
-    drawn_line, file_line, compile_line, merge_line = done.stdout.splitlines()
+    lines = done.stdout.splitlines()
+    drawn_line, file_line, parse_line, compile_line, merge_line = lines
     assert drawn_line.startswith("collections, verify --random 2000:")
     assert file_line.startswith("collections, verify of a 2000-pair file:")
     for line in (drawn_line, file_line):
         assert len([int(n) for n in line.split(":")[1].split()]) == 3
+    assert parse_line.startswith("parse 2000-pair file:")
     assert compile_line.startswith("compile 4000 terms:")
     assert merge_line.startswith("merge both sides:")
-    assert all(float(line.split()[-2]) > 0 for line in (compile_line, merge_line))
+    assert all(float(line.split()[-2]) > 0 for line in lines[2:])
