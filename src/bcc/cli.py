@@ -22,10 +22,10 @@ from pathlib import Path
 
 from . import __version__
 from .composition import DEFAULT_MAX_PAIRS, Composition, PairState, PairUniverse, to_dot
-from .errors import BccError, ParseError
+from .errors import BccError, IllFormedError, ParseError, StateExplosionError
 from .fixpoint import classify
 from .generator import iter_random_pairs
-from .lang import DEFAULT_MAX_STATES, ContractDef, compile_term, parse
+from .lang import DEFAULT_MAX_STATES, compile_term, parse
 from .lts import merge_graphs
 from .propositions import relation_sets, verify_universe
 from .relations import ALL_RELATIONS, RelationKind, evaluate
@@ -59,7 +59,8 @@ def _requested_kinds(args) -> tuple:
 
 def _read_definitions(path) -> list:
     """The definitions of a contract file.  An unreadable or non-UTF-8 file
-    is an error, and a parse error is prefixed with the file's path."""
+    is an error, one leading byte-order mark is dropped, and a parse error
+    is prefixed with the file's path."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -67,24 +68,38 @@ def _read_definitions(path) -> list:
     except UnicodeDecodeError as exc:
         raise BccError(f"cannot read {path}: {exc}")
     try:
-        return parse(text)
+        return parse(text.removeprefix("\ufeff"))
     except ParseError as exc:
         raise BccError(f"{path}: {exc}")
 
 
-def _load_pair(args) -> list:
-    """The client and server graphs named on the command line: each file is
-    parsed once, each contract looked up and compiled in argument order."""
+def _compile(source, max_states: int):
+    """The graph of a ``(where, name, term)`` source.  ``where`` is the place
+    the contract comes from, its file and line or a random pair's label and
+    side, and prefixes a compile error, which names the contract too."""
+    where, name, term = source
+    try:
+        return compile_term(term, max_states, name=name)
+    except IllFormedError as exc:
+        raise BccError(f"{where}: contract {name!r}: {exc}") from exc
+    except StateExplosionError as exc:
+        raise BccError(f"{where}: {exc}") from exc
+
+
+def _pair_sources(args):
+    """The ``_compile`` sources of the client and then the server named on
+    the command line; each file is parsed once.  The caller compiles each
+    before asking for the next, so errors come in argument order, and one
+    frame nearer ``main``, which leaves the compiler's recursion more room."""
     parsed = {}
-    graphs = []
     files = (args.client_file, args.server_file)
     for path, name in zip(files, (args.client_name, args.server_name)):
         if path not in parsed:
             parsed[path] = {d.name: d for d in _read_definitions(path)}
         if name not in parsed[path]:
             raise BccError(f"contract {name!r} is not defined in {path}")
-        graphs.append(compile_term(parsed[path][name].term, args.max_states, name=name))
-    return graphs
+        d = parsed[path][name]
+        yield f"{path}:{d.line}", name, d.term
 
 
 def _printable(text: str) -> str:
@@ -137,7 +152,9 @@ def _witness_lines(verdicts) -> list:
 
 def _cmd_check(args) -> int:
     start = time.perf_counter()
-    client, server = _load_pair(args)
+    sources = _pair_sources(args)
+    client = _compile(next(sources), args.max_states)
+    server = _compile(next(sources), args.max_states)
     kinds = _requested_kinds(args)
     verdicts = evaluate(client, server, kinds, max_pairs=args.max_pairs)
     elapsed = (time.perf_counter() - start) * 1000
@@ -161,10 +178,10 @@ def _cmd_check(args) -> int:
 
 
 def _corpus_pairs(corpus_dir: str) -> list:
-    """The (pN, qN) definition pairs of the .bc files in a directory, keyed
-    on the digit string N and ordered by (int(N), N).  Names must be unique
-    across the files; a name outside the convention or without its partner
-    gets a note on stderr."""
+    """The (pN, qN) pairs of the .bc files in a directory, keyed on the digit
+    string N and ordered by (int(N), N), each side a ``_compile`` source.
+    Names must be unique across the files; a name outside the convention or
+    without its partner gets a note on stderr."""
     directory = Path(corpus_dir)
     if not directory.is_dir():
         raise BccError(f"{corpus_dir} is not a directory")
@@ -176,7 +193,7 @@ def _corpus_pairs(corpus_dir: str) -> list:
                 raise BccError(
                     f"{path}: contract {d.name!r} already defined in {origin[d.name]}"
                 )
-            defs[d.name] = d
+            defs[d.name] = (f"{path}:{d.line}", d.name, d.term)
             origin[d.name] = str(path)
     numbers = set()
     for name in defs:
@@ -196,11 +213,6 @@ def _corpus_pairs(corpus_dir: str) -> list:
     ]
 
 
-def _compile_pair(client, server, max_states: int) -> list:
-    """Graphs of a client and a server definition, compiled in that order."""
-    return [compile_term(d.term, max_states, name=d.name) for d in (client, server)]
-
-
 def _cmd_matrix(args) -> int:
     start = time.perf_counter()
     entries, rows = [], []
@@ -210,8 +222,9 @@ def _cmd_matrix(args) -> int:
     marks = {True: _printable(HOLD_MARK), False: _printable(FAIL_MARK)}
     width = max(3, *(len(m) + 1 for m in marks.values()))
     all_hold = True
-    for client_def, server_def in _corpus_pairs(args.corpus_dir):
-        client, server = _compile_pair(client_def, server_def, args.max_states)
+    for client_source, server_source in _corpus_pairs(args.corpus_dir):
+        client = _compile(client_source, args.max_states)
+        server = _compile(server_source, args.max_states)
         verdicts = evaluate(client, server, max_pairs=args.max_pairs)
         entries.append(_pair_entry(client.name, server.name, verdicts))
         cells = "  ".join(f"{marks[verdicts[k].holds]:>{width}}" for k in ALL_RELATIONS)
@@ -237,29 +250,29 @@ def _cmd_matrix(args) -> int:
 
 
 def _verify_pairs(args):
-    """(label, client definition, server definition) of every pair to
-    verify, corpus pairs first.  Each pair is handed out once and then no
-    longer held here; random pairs are drawn one at a time."""
+    """(label, client source, server source) of every pair to verify, as
+    ``_compile`` reads them, corpus pairs first.  Each pair is handed out
+    once and then no longer held here; random pairs are drawn one at a time."""
     corpus = _corpus_pairs(args.corpus_dir)
     corpus.reverse()
     while corpus:
         c, s = corpus.pop()
-        yield f"{c.name}‖{s.name}", c, s
+        yield f"{c[1]}‖{s[1]}", c, s
     for i, (c, s) in enumerate(iter_random_pairs(args.seed, args.random)):
-        yield f"random{i}", ContractDef("", c), ContractDef("", s)
+        label = f"random{i}"
+        yield label, (f"{label} client", "", c), (f"{label} server", "", s)
 
 
 def _merged_pairs(args) -> tuple:
     """The labels of the pairs to verify, and the merged client and server
-    graphs with every pair's initial states.  A pair's definitions are freed
+    graphs with every pair's initial states.  A pair's terms are freed
     once it is compiled, and the pairs' graphs once both sides are merged,
     so the collector never walks what nothing will read again."""
     labels, clients, servers = [], [], []
     for label, client, server in _verify_pairs(args):
         labels.append(label)
-        client, server = _compile_pair(client, server, args.max_states)
-        clients.append(client)
-        servers.append(server)
+        clients.append(_compile(client, args.max_states))
+        servers.append(_compile(server, args.max_states))
     if not labels:
         raise BccError(f"no contract pairs found under {args.corpus_dir}")
     return (labels, *merge_graphs(clients), *merge_graphs(servers))
@@ -340,7 +353,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_dot(args) -> int:
-    client, server = _load_pair(args)
+    sources = _pair_sources(args)
+    client = _compile(next(sources), args.max_states)
+    server = _compile(next(sources), args.max_states)
     composition = Composition(client, server)
     root = PairState(client.initial, server.initial)
     universe = composition.build_universe([root], args.max_pairs)

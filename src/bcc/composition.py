@@ -151,9 +151,8 @@ class PairUniverse:
         self.predecessors_idx = reverse(self.successors_idx)
 
         zero, n = composition.client.zero, composition.server.num_states
-        zero_codes = range(0) if zero is None else range(zero * n, zero * n + n)
         self.successful_indices = frozenset(
-            i for i, code in enumerate(codes) if code in zero_codes
+            i for i, code in enumerate(codes) if code // n == zero
         )
         self.stuck_indices = frozenset(
             i for i, targets in enumerate(self.successors_idx) if not targets

@@ -15,6 +15,7 @@ post-fixed, or fixed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable
 
 from .composition import PairState, PairUniverse
@@ -91,14 +92,13 @@ class PairSet:
 
 
 def compliance_step(x: PairSet) -> PairSet:
-    """One application of the compliance functional to x."""
+    """One application of the compliance functional to x: the successful
+    pairs, and the pairs with a tau-step whose tau-successors all lie in x."""
     universe = x.universe
-    inside = x.indices
-    members = set(universe.successful_indices)
-    for i, succs in enumerate(universe.successors_idx):
-        if succs and all(t in inside for t in succs):
-            members.add(i)
-    return PairSet._of(universe, frozenset(members))
+    succs = universe.successors_idx
+    into_x = frozenset(compress(range(len(succs)), map(x.indices.issuperset, succs)))
+    members = universe.successful_indices | (into_x - universe.stuck_indices)
+    return PairSet._of(universe, members)
 
 
 def least_fixpoint(universe: PairUniverse) -> PairSet:

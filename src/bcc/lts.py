@@ -2,10 +2,11 @@
 
 States are dense integer ids.  A graph may own a distinguished *success*
 state: the unique state without outgoing edges (absent when the contract can
-never terminate).  A graph stores its canonical out-edge rows; the public
-constructor validates and sorts an edge list into them, while the compiler
-and ``merge_graphs``, whose rows are canonical by construction, hand them to
-the trusted ``ContractGraph._from_rows``.  Weak barbs, divergence and
+never terminate).  A graph stores its canonical out-edge rows, each the
+sorted distinct edges out of one state; the public constructor validates an
+edge list and sorts it into them, while the compiler and ``merge_graphs``,
+whose rows are canonical by construction, hand them to the trusted
+``ContractGraph._from_rows``.  Weak barbs, divergence and
 success reachability are tables built on first read, by backward search over
 one shared tau-predecessor table, so a graph that is only merged or composed
 never builds them; tau-closures are searched on demand.  Graphs are
@@ -17,10 +18,11 @@ out one shared ``Label`` per action name (kept for the life of the process,
 one per distinct name seen).
 
 The graph kernels every layer of the package shares live here too:
-``reach`` (BFS closure), ``attractor`` (counter-based dead-end propagation)
-and ``reverse`` (the predecessor table), all over integer adjacency tuples,
-and ``discover``, the bounded BFS that the compiler and the pair universes
-explore their state spaces with, over a successor function.
+``reach`` (BFS closure), ``attractor`` (counter-based dead-end propagation),
+``diverging`` (the nodes outside an attractor) and ``reverse`` (the
+predecessor table), all over integer adjacency tuples, and ``discover``, the
+bounded BFS that the compiler and the pair universes explore their state
+spaces with, over a successor function.
 """
 
 from __future__ import annotations
@@ -193,6 +195,14 @@ def attractor(succ, pred, seeds) -> frozenset:
     return frozenset(inside)
 
 
+def diverging(succ, pred, stops) -> frozenset:
+    """The nodes outside ``attractor(succ, pred, stops)``: when every node
+    without successors is a stop, exactly those that start an infinite path
+    avoiding the stops, as each has a successor outside.  With the tau-stuck
+    states as stops, they are the states that can diverge."""
+    return frozenset(range(len(succ))) - attractor(succ, pred, stops)
+
+
 class ContractGraph:
     """Immutable finite LTS over {tau, ?a, !a} labels.
 
@@ -200,9 +210,8 @@ class ContractGraph:
     graph is terminal.  The public constructor enforces that states are
     plain ints (no bool or float) and that ``zero`` is the only state without
     outgoing edges.  ``name`` is display-only and ignored by equality.  A
-    graph keeps its out-edge rows ``_out``; the public constructor keeps its
-    sorted edges too, while a graph from ``_from_rows`` (every compiled or
-    merged graph) builds ``edges`` on first read.  The derived tables
+    graph keeps only its out-edge rows ``_out``, however it was built, and
+    builds ``edges`` from them on first read.  The derived tables
     (``_tau_adj``, ``_tau_pred``, ``_reaches_zero``, ``_weak``,
     ``_diverging``) are built on first read and cached on the instance.
     """
@@ -224,18 +233,13 @@ class ContractGraph:
         if zero is not None and not _is_state(zero, num_states):
             raise ValueError(f"success state {zero!r} out of range")
 
-        edges = list(map(tuple, edges))
+        outgoing = [set() for _ in range(num_states)]
         for s, lab, t in edges:
             if not isinstance(lab, Label):
                 raise ValueError(f"edge label {lab!r} is not a Label")
             if not (_is_state(s, num_states) and _is_state(t, num_states)):
                 raise ValueError(f"edge ({s!r}, {lab}, {t!r}) leaves the state range")
-        # sorted by (source, label kind, action name, target); keeps caller
-        # tuples, and stands in for the ``edges`` property below
-        edges = tuple(sorted(set(edges)))
-        outgoing = [[] for _ in range(num_states)]
-        for s, lab, t in edges:
-            outgoing[s].append((lab, t))
+            outgoing[s].add((lab, t))
         if zero is not None and outgoing[zero]:
             raise ValueError("the success state must have no outgoing edges")
         for s in range(num_states):
@@ -245,8 +249,7 @@ class ContractGraph:
                 )
         self.num_states, self.initial, self.zero = num_states, initial, zero
         self.name = name
-        self._out = tuple(map(tuple, outgoing))
-        self.edges = edges
+        self._out = tuple([tuple(sorted(row)) for row in outgoing])
 
     @classmethod
     def _from_rows(
@@ -306,13 +309,9 @@ class ContractGraph:
 
     @cached_property
     def _diverging(self) -> frozenset:
-        # a state diverges iff it starts an infinite tau-path, i.e. iff it
-        # is outside the attractor of the states without tau-successors
         tau_adj = self._tau_adj
         tau_stuck = (s for s in range(self.num_states) if not tau_adj[s])
-        return frozenset(range(self.num_states)) - attractor(
-            tau_adj, self._tau_pred, tau_stuck
-        )
+        return diverging(tau_adj, self._tau_pred, tau_stuck)
 
     def _check_state(self, s: int) -> None:
         if not _is_state(s, self.num_states):
@@ -387,8 +386,8 @@ def merge_graphs(graphs: Sequence[ContractGraph]) -> tuple:
     The union is assembled from the components' canonical out-edge rows
     without sorting or validating it again: components take increasing
     blocks of ids, and renumbering keeps the order of every state but
-    success, which becomes 0.  So only an edge into success can fall out of
-    order, and it moves to the front of its (source, label) group.
+    success, which becomes 0.  So only a row of a component whose success
+    state was not 0 can fall out of order, and only such a row is sorted.
     """
     if not graphs:
         raise ValueError("merge_graphs needs at least one graph")
@@ -407,22 +406,10 @@ def merge_graphs(graphs: Sequence[ContractGraph]) -> tuple:
                 continue
             row = [(lab, ids[t]) for lab, t in outs]
             if zero:  # renumbered to 0, success may now precede its group
-                _success_first(row)
+                row.sort()
             rows.append(tuple(row))
         base += g.num_states - (zero is not None)
 
     zero = 0 if any_zero else None
     merged = ContractGraph._from_rows(base, initials[0], tuple(rows), zero)
     return merged, tuple(initials)
-
-
-def _success_first(row: list) -> None:
-    """Restore canonical order to a renumbered out-edge row whose only
-    misplaced edges lead to success (0): each moves to the front of its
-    label's group."""
-    for i, (lab, t) in enumerate(row):
-        if t == 0:
-            j = i
-            while j and row[j - 1][0] == lab:
-                j -= 1
-            row.insert(j, row.pop(i))

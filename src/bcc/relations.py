@@ -24,17 +24,14 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .composition import DEFAULT_MAX_PAIRS, Composition, PairState, PairUniverse
-from .lts import ContractGraph, attractor, reach
+from .lts import ContractGraph, diverging, reach
 
 
 def _must_targets(universe: PairUniverse) -> frozenset:
     # stuck short of success, or starting an infinite tau-path that avoids it
     successful, stuck = universe.successful_indices, universe.stuck_indices
-    everything = frozenset(range(len(universe)))
-    diverging = everything - attractor(
-        universe.successors_idx, universe.predecessors_idx, successful | stuck
-    )
-    return (stuck - successful) | diverging
+    succ, pred = universe.successors_idx, universe.predecessors_idx
+    return (stuck - successful) | diverging(succ, pred, successful | stuck)
 
 
 def _should_targets(universe: PairUniverse) -> frozenset:

@@ -148,11 +148,16 @@ def test_check_rejects_non_positive_bounds(capsys, corpus_file, flag, value):
 
 @pytest.mark.parametrize(
     "client",
-    ["!a." * 5000 + "0", "(!a." * 2000 + "0" + ")" * 2000],
-    ids=["deep-prefix-chain", "deep-parentheses"],
+    [
+        "!a." * 5000 + "0",
+        "(!a." * 2000 + "0" + ")" * 2000,
+        " + ".join(["!a.0"] * 2000),
+    ],
+    ids=["deep-prefix-chain", "deep-parentheses", "wide-sum"],
 )
 def test_check_too_deep_input_exits_two(capsys, tmp_path, client):
-    # the parser takes any depth; the compiler still recurses per prefix
+    # the parser takes any depth; the compiler still recurses per prefix,
+    # and per summand down the left spine of a sum
     path = tmp_path / "deep.bc"
     path.write_text(f"p = {client}\nq = rec Y.?a.Y\n")
     code, _, err = run(capsys, "check", str(path), "p", str(path), "q", "--all")
@@ -215,18 +220,72 @@ def test_check_non_utf8_file_exits_two(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("broken_side", ["client", "server"])
-@pytest.mark.parametrize("command", ["check", "dot"])
-def test_parse_error_names_the_file(capsys, tmp_path, broken_side, command):
+@pytest.mark.parametrize(
+    "command, term, flags, error",
+    [
+        pytest.param(
+            command, "!a.", [], "{file}: 3:9: expected a term, found 'end of line'",
+            id=command,
+        )
+        for command in ["check", "dot"]
+    ]
+    + [
+        pytest.param(
+            command, "rec X.X", [],
+            "{file}:3: contract '{name}': unguarded-recursion: X",
+            id=f"{command}-ill-formed",
+        )
+        for command in ["check", "matrix", "verify-propositions"]
+    ]
+    + [
+        pytest.param(
+            command, "!a.!a.0", ["--max-states", "2"],
+            "{file}:3: more than 2 states while compiling '{name}'",
+            id=f"{command}-too-many-states",
+        )
+        for command in ["check", "matrix", "verify-propositions"]
+    ]
+    + [
+        pytest.param(
+            "verify-propositions", "!a.0",
+            ["--random", "3", "--seed", "1", "--max-states", "2"],
+            "random0 client: more than 2 states while compiling",
+            id="verify-propositions-random-too-many-states",
+        )
+    ],
+)
+def test_parse_error_names_the_file(
+    capsys, tmp_path, broken_side, command, term, flags, error
+):
+    # the broken contract is p2 or q2, on line 3 of its file; its partner
+    # is alone in the other file of the corpus.  In the random case every
+    # file compiles, and the first random pair does not.
+    client_side = broken_side == "client"
+    name, partner = ("p2", "q2 = ?a.0") if client_side else ("q2", "p2 = !a.0")
     good, broken = tmp_path / "good.bc", tmp_path / "broken.bc"
-    good.write_text("p = !a.0\nq = ?a.0\n")
-    broken.write_text("p = !a.\nq = ?a.0\n")
-    client, server = (broken, good) if broken_side == "client" else (good, broken)
-    out_path = [str(tmp_path / "u.dot")] if command == "dot" else []
-    argv = [command, str(client), "p", str(server), "q", *out_path]
-    code, out, err = run(capsys, *argv)
+    good.write_text(f"{partner}\n")
+    broken.write_text(f"p1 = !a.0\nq1 = ?a.0\n{name} = {term}\n")
+    client, server = (broken, good) if client_side else (good, broken)
+    if command in ("matrix", "verify-propositions"):
+        argv = [command, str(tmp_path)]
+    else:
+        out_path = [str(tmp_path / "u.dot")] if command == "dot" else []
+        argv = [command, str(client), "p2", str(server), "q2", *out_path]
+    code, out, err = run(capsys, *argv, *flags)
     assert code == 2
     assert out == ""
-    assert err == f"error: {broken}: 1:8: expected a term, found 'end of line'\n"
+    assert err == "error: " + error.format(file=broken, name=name) + "\n"
+
+
+def test_a_byte_order_mark_is_dropped(capsys, tmp_path):
+    path = tmp_path / "bom.bc"
+    path.write_bytes(b"\xef\xbb\xbfp1 = !a.0\nq1 = ?a.0\n")
+    code, out, err = run(capsys, "check", str(path), "p1", str(path), "q1", "--json")
+    assert (code, err) == (0, "")
+    (entry,) = json.loads(out)["pairs"]
+    assert entry["verdicts"] == dict.fromkeys(
+        ["pg", "mst", "shd", "beh", "io", "may"], True
+    )
 
 
 def run_quietly(argv):

@@ -4,7 +4,8 @@ Every contract graph with at most one non-success state over the labels
 tau, ?a and !a, run against every other: the six verdicts and their
 witnesses against the brute-force oracles, both extremal fixed points
 against Kleene iteration of the functional, the universe tables against the
-reference universe, and every ``verify_universe`` proposition.
+reference universe, every ``verify_universe`` proposition, and the
+inclusions that hold between the relations.
 """
 
 import itertools
@@ -25,7 +26,7 @@ from bcc import (
     least_fixpoint,
     out,
 )
-from bcc.propositions import relation_sets, verify_universe
+from bcc.propositions import INCLUSIONS, relation_sets, verify_universe
 from conftest import universe_of
 from oracles import brute_verdicts, is_tau_path, reference_universe, witness_violates
 
@@ -123,3 +124,24 @@ def test_the_scope_separates_io_and_may_from_fixed_points():
             break
     assert io_not_pre is not None
     assert may_not_post is not None
+
+
+def test_the_scope_pins_the_inclusion_lattice():
+    """The inclusions that hold at every pair of the scope are exactly the
+    transitive closure of ``INCLUSIONS``: its entries plus ``mst <= pg``,
+    through ``shd`` or ``beh``.  Every other ordered pair of relations is
+    separated by some pair of the scope."""
+    closure = set(INCLUSIONS)
+    while True:
+        implied = {(a, d) for a, b in closure for c, d in closure if b is c}
+        if implied <= closure:
+            break
+        closure |= implied
+    assert closure == set(INCLUSIONS) | {(RelationKind.MUST, RelationKind.PROGRESS)}
+
+    ordered = set(itertools.permutations(RelationKind, 2))
+    separated = set()
+    for client, server in PAIRS:
+        holding = {k for k, v in evaluate(client, server).items() if v.holds}
+        separated |= {(a, b) for a, b in ordered if a in holding and b not in holding}
+    assert ordered - separated == closure  # so 22 of the 30 are separated
