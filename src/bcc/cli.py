@@ -52,7 +52,7 @@ def _default_max_pairs() -> int:
 
 
 def _requested_kinds(args) -> tuple:
-    if getattr(args, "relations", None) and not args.all:
+    if args.relations and not args.all:
         return tuple(dict.fromkeys(map(RelationKind, args.relations)))
     return ALL_RELATIONS
 
@@ -86,6 +86,12 @@ def _compile(source, max_states: int):
         raise BccError(f"{where}: {exc}") from exc
 
 
+def _sources(path) -> dict:
+    """The ``_compile`` source of each definition of a file, by name."""
+    definitions = _read_definitions(path)
+    return {d.name: (f"{path}:{d.line}", d.name, d.term) for d in definitions}
+
+
 def _pair_sources(args):
     """The ``_compile`` sources of the client and then the server named on
     the command line; each file is parsed once.  The caller compiles each
@@ -95,11 +101,10 @@ def _pair_sources(args):
     files = (args.client_file, args.server_file)
     for path, name in zip(files, (args.client_name, args.server_name)):
         if path not in parsed:
-            parsed[path] = {d.name: d for d in _read_definitions(path)}
+            parsed[path] = _sources(path)
         if name not in parsed[path]:
             raise BccError(f"contract {name!r} is not defined in {path}")
-        d = parsed[path][name]
-        yield f"{path}:{d.line}", name, d.term
+        yield parsed[path][name]
 
 
 def _printable(text: str) -> str:
@@ -108,13 +113,17 @@ def _printable(text: str) -> str:
     return text.encode(encoding, "backslashreplace").decode(encoding)
 
 
-def _emit(report: dict, as_json: bool, human_lines, timing_ms: float) -> None:
+def _emit(start: float, inputs: dict, body: dict, as_json: bool, human_lines) -> None:
+    """Print a command's report: as JSON, its body with the tool and the
+    inputs; else its human lines and the time since ``start``."""
+    elapsed = (time.perf_counter() - start) * 1000
     if as_json:
+        report = {"tool": TOOL, "inputs": inputs, **body}
         print(json.dumps(report, indent=2, sort_keys=True))
     else:
         for line in human_lines:
             print(_printable(line))
-        print(f"elapsed: {timing_ms:.1f} ms")
+        print(f"elapsed: {elapsed:.1f} ms")
 
 
 def _pair_entry(client_name, server_name, verdicts) -> dict:
@@ -157,20 +166,16 @@ def _cmd_check(args) -> int:
     server = _compile(next(sources), args.max_states)
     kinds = _requested_kinds(args)
     verdicts = evaluate(client, server, kinds, max_pairs=args.max_pairs)
-    elapsed = (time.perf_counter() - start) * 1000
 
-    report = {
-        "tool": TOOL,
-        "inputs": {
-            "client": {"file": args.client_file, "name": args.client_name},
-            "server": {"file": args.server_file, "name": args.server_name},
-        },
-        "pairs": [_pair_entry(args.client_name, args.server_name, verdicts)],
+    inputs = {
+        "client": {"file": args.client_file, "name": args.client_name},
+        "server": {"file": args.server_file, "name": args.server_name},
     }
+    body = {"pairs": [_pair_entry(args.client_name, args.server_name, verdicts)]}
     human = [
         f"{args.client_name} ‖ {args.server_name}:  {_verdict_cells(verdicts)}"
     ] + _witness_lines(verdicts)
-    _emit(report, args.json, human, elapsed)
+    _emit(start, inputs, body, args.json, human)
     return 0 if all(v.holds for v in verdicts.values()) else 1
 
 
@@ -188,13 +193,13 @@ def _corpus_pairs(corpus_dir: str) -> list:
     defs = {}
     origin = {}
     for path in sorted(directory.glob("*.bc")):
-        for d in _read_definitions(path):
-            if d.name in origin:
+        for name, source in _sources(path).items():
+            if name in origin:
                 raise BccError(
-                    f"{path}: contract {d.name!r} already defined in {origin[d.name]}"
+                    f"{path}: contract {name!r} already defined in {origin[name]}"
                 )
-            defs[d.name] = (f"{path}:{d.line}", d.name, d.term)
-            origin[d.name] = str(path)
+            defs[name] = source
+            origin[name] = str(path)
     numbers = set()
     for name in defs:
         m = _PAIR_NAME_RE.match(name)
@@ -235,14 +240,7 @@ def _cmd_matrix(args) -> int:
     codes = "  ".join(f"{k.value:>{width}}" for k in ALL_RELATIONS)
     human = ["pair".ljust(name_width) + codes]
     human += [label.ljust(name_width) + cells for label, cells in rows]
-    elapsed = (time.perf_counter() - start) * 1000
-
-    report = {
-        "tool": TOOL,
-        "inputs": {"corpus": args.corpus_dir},
-        "pairs": entries,
-    }
-    _emit(report, args.json, human, elapsed)
+    _emit(start, {"corpus": args.corpus_dir}, {"pairs": entries}, args.json, human)
     return 0 if all_hold else 1
 
 
@@ -313,15 +311,9 @@ def _cmd_verify(args) -> int:
         }
         for kind in RelationKind
     }
-    elapsed = (time.perf_counter() - start) * 1000
 
-    report = {
-        "tool": TOOL,
-        "inputs": {
-            "corpus": args.corpus_dir,
-            "random": args.random,
-            "seed": args.seed,
-        },
+    inputs = {"corpus": args.corpus_dir, "random": args.random, "seed": args.seed}
+    body = {
         "universe": {
             "pairs": len(universe),
             "roots": len(kept_roots),
@@ -345,7 +337,7 @@ def _cmd_verify(args) -> int:
             shown = ", ".join(f"{c}‖{s}" for c, s in r.counterexamples[:4])
             extra = f"  ({len(r.counterexamples)} counterexamples: {shown}...)"
         human.append(f"{mark} {r.name}{extra}")
-    _emit(report, args.json, human, elapsed)
+    _emit(start, inputs, body, args.json, human)
     return 0 if all(r.ok for r in reports) else 1
 
 
@@ -379,6 +371,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=TOOL)
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def add_pair(sp):
+        sp.add_argument("client_file")
+        sp.add_argument("client_name")
+        sp.add_argument("server_file")
+        sp.add_argument("server_name")
+
     def add_common(sp):
         sp.add_argument(
             "--max-states",
@@ -395,10 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
 
     check = sub.add_parser("check", help="decide relations for one pair")
-    check.add_argument("client_file")
-    check.add_argument("client_name")
-    check.add_argument("server_file")
-    check.add_argument("server_name")
+    add_pair(check)
     check.add_argument(
         "--relation",
         dest="relations",
@@ -433,10 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.set_defaults(func=_cmd_verify)
 
     dot = sub.add_parser("dot", help="export a composition universe as graphviz")
-    dot.add_argument("client_file")
-    dot.add_argument("client_name")
-    dot.add_argument("server_file")
-    dot.add_argument("server_name")
+    add_pair(dot)
     dot.add_argument("out_path")
     add_common(dot)
     dot.set_defaults(func=_cmd_dot)

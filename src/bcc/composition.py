@@ -86,11 +86,12 @@ class Composition:
             targets.add(code - s + t)
         server_row = server_out[s]
         for lab, c2 in client_out[c]:
-            if lab.kind:
-                # a visible action meets its dual: same name, other kind
-                dual, name = 3 - lab.kind, lab.name
+            if lab is not TAU:
+                # a visible action meets its dual; every graph holds one
+                # shared label per action, so the dual is that very object
+                dual = lab.dual()
                 for slab, s2 in server_row:
-                    if slab.kind == dual and slab.name == name:
+                    if slab is dual:
                         targets.add(c2 * n + s2)
         return tuple(sorted(targets))
 

@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 from operator import itemgetter
 
 from .errors import (
@@ -50,7 +49,7 @@ from .errors import (
     ParseError,
     StateExplosionError,
 )
-from .lts import INPUT, INTERNAL, TAU, ContractGraph, Label, discover, inp, out
+from .lts import TAU, ContractGraph, Label, _shared_label, discover, inp, out
 
 DEFAULT_MAX_STATES = 1024
 
@@ -376,13 +375,6 @@ class _TermTable:
                 moves = self.transitions(self.subst(r[2], u, r[1]))
             self.moves[u] = moves
         return moves
-
-
-@lru_cache(maxsize=None)
-def _shared_label(lab: tuple) -> Label:
-    """The shared ``Label`` of a row label ``(kind, name)``."""
-    kind, action = lab
-    return TAU if kind == INTERNAL else inp(action) if kind == INPUT else out(action)
 
 
 def compile_term(

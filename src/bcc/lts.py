@@ -13,9 +13,12 @@ never builds them; tau-closures are searched on demand.  Graphs are
 immutable, and a racing first read of a table computes an equal value, so
 they may be read from any thread.
 
-Labels are immutable and compare structurally, so ``inp`` and ``out`` hand
-out one shared ``Label`` per action name (kept for the life of the process,
-one per distinct name seen).
+Labels are immutable and compare structurally, and ``inp``, ``out`` and
+``_shared_label`` hand out one shared ``Label`` per action (kept for the life
+of the process, one per distinct name seen).  Every graph holds the shared
+label of each action, however it was built, and so do its copies and
+pickles.  So a label is internal iff it is ``TAU``, and the partner of a
+visible label is the very object ``Label.dual`` returns.
 
 The graph kernels every layer of the package shares live here too:
 ``reach`` (BFS closure), ``attractor`` (counter-based dead-end propagation),
@@ -79,6 +82,10 @@ class Label:
             return "tau"
         return ("?" if self.kind == INPUT else "!") + self.name
 
+    def __reduce__(self):
+        # copies and unpickled labels are the shared label of their action
+        return _shared_label, ((self.kind, self.name),)
+
 
 TAU = Label(INTERNAL)
 
@@ -91,6 +98,13 @@ def inp(name: str) -> Label:
 @lru_cache(maxsize=None)
 def out(name: str) -> Label:
     return Label(OUTPUT, name)
+
+
+@lru_cache(maxsize=None)
+def _shared_label(lab: tuple) -> Label:
+    """The shared ``Label`` of ``(kind, name)``."""
+    kind, action = lab
+    return TAU if kind == INTERNAL else inp(action) if kind == INPUT else out(action)
 
 
 @dataclass(frozen=True)
@@ -209,11 +223,14 @@ class ContractGraph:
     ``zero`` is the id of the success state, or None when no state of the
     graph is terminal.  The public constructor enforces that states are
     plain ints (no bool or float) and that ``zero`` is the only state without
-    outgoing edges.  ``name`` is display-only and ignored by equality.  A
-    graph keeps only its out-edge rows ``_out``, however it was built, and
-    builds ``edges`` from them on first read.  The derived tables
-    (``_tau_adj``, ``_tau_pred``, ``_reaches_zero``, ``_weak``,
-    ``_diverging``) are built on first read and cached on the instance.
+    outgoing edges, and it stores the shared label of each edge's action.  So
+    every graph holds the shared label of each action, as the compiler and
+    ``merge_graphs`` build theirs, and so do its copies and pickles.  ``name``
+    is display-only and ignored by equality.  A graph keeps only its out-edge
+    rows ``_out``, however it was built, and builds ``edges`` from them on
+    first read.  The derived tables (``_tau_adj``, ``_tau_pred``,
+    ``_reaches_zero``, ``_weak``, ``_diverging``) are built on first read
+    and cached on the instance.
     """
 
     def __init__(
@@ -239,7 +256,7 @@ class ContractGraph:
                 raise ValueError(f"edge label {lab!r} is not a Label")
             if not (_is_state(s, num_states) and _is_state(t, num_states)):
                 raise ValueError(f"edge ({s!r}, {lab}, {t!r}) leaves the state range")
-            outgoing[s].add((lab, t))
+            outgoing[s].add((_shared_label((lab.kind, lab.name)), t))
         if zero is not None and outgoing[zero]:
             raise ValueError("the success state must have no outgoing edges")
         for s in range(num_states):
@@ -256,8 +273,9 @@ class ContractGraph:
         cls, num_states: int, initial: int, rows: tuple, zero: Optional[int], name=""
     ) -> "ContractGraph":
         """A graph from canonical out-edge rows, trusted as they are: row s
-        holds the (label, target) edges out of s, sorted and distinct, and
-        only row ``zero`` is empty.  No check runs and no edge list is kept."""
+        holds the (label, target) edges out of s, sorted and distinct, each
+        label the shared one of its action, and only row ``zero`` is empty.
+        No check runs and no edge list is kept."""
         graph = cls.__new__(cls)
         graph.num_states, graph.initial, graph.zero = num_states, initial, zero
         graph.name = name
@@ -277,7 +295,7 @@ class ContractGraph:
     def _tau_adj(self) -> tuple:
         """The tau-successors of every state, ordered by state id."""
         return tuple(
-            tuple(t for (lab, t) in outs if lab.kind == INTERNAL) for outs in self._out
+            tuple(t for (lab, t) in outs if lab is TAU) for outs in self._out
         )
 
     # a state tau-reaches success, or weakly offers a visible action, iff it
@@ -299,7 +317,7 @@ class ContractGraph:
         offers = {}  # visible label -> the states with an edge carrying it
         for s, outs in enumerate(self._out):
             for lab, _ in outs:
-                if lab.kind != INTERNAL:
+                if lab is not TAU:
                     offers.setdefault(lab, []).append(s)
         weak = [[] for _ in range(self.num_states)]
         for lab, sources in sorted(offers.items()):  # one cache key per label set

@@ -5,7 +5,9 @@ from hypothesis import given
 from bcc import (
     TAU,
     Composition,
+    ContractGraph,
     InvalidPairError,
+    Label,
     PairExplosionError,
     PairSet,
     PairState,
@@ -13,6 +15,7 @@ from bcc import (
     RelationKind,
     UniverseMismatchError,
     compile_term,
+    evaluate,
     inp,
     merge_graphs,
     out,
@@ -51,6 +54,26 @@ def test_compose_step_derives_all_three_rules(graphs):
         (out("b"), PairState(0, 1)),
     }
     assert list(moves) == sorted(moves)
+
+
+def with_fresh_labels(graph):
+    """The graph rebuilt from labels equal to its own, but not the shared ones."""
+    edges = [(s, Label(lab.kind, lab.name), t) for s, lab, t in graph.edges]
+    return ContractGraph(graph.num_states, graph.initial, edges, graph.zero, graph.name)
+
+
+def test_graphs_built_from_fresh_labels_still_synchronise(graphs, corpus_pairs):
+    # the constructor stores the shared label of each action, so a dual is
+    # found by identity however the labels were built
+    client, server = with_fresh_labels(graphs["p1"]), with_fresh_labels(graphs["q1"])
+    root = root_of(graphs, "p1", "q1")
+    sync = Composition(client, server).compose_step(root)
+    assert sync == comp(graphs, "p1", "q1").compose_step(root)
+    assert (TAU, PairState(0, 0)) in sync
+    pairs = corpus_pairs + [compiled_random_pair(seed) for seed in range(40)]
+    for client, server in pairs:
+        fresh = evaluate(with_fresh_labels(client), with_fresh_labels(server))
+        assert fresh == evaluate(client, server)
 
 
 def test_compose_step_of_terminal_pair(graphs):

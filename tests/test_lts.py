@@ -1,3 +1,5 @@
+import copy
+import pickle
 from itertools import permutations
 
 import hypothesis.strategies as st
@@ -6,6 +8,7 @@ from hypothesis import example, given
 
 from bcc import (
     INPUT,
+    INTERNAL,
     OUTPUT,
     TAU,
     BarbSet,
@@ -59,6 +62,54 @@ def test_one_label_per_action():
     assert inp("a") is not out("a")
     assert inp("a").dual() is out("a") and out("b").dual() is inp("b")
     assert inp("a") == Label(INPUT, "a")
+
+
+def fresh_label_graph():
+    # ?a.tau.!a.0 from labels equal to the shared ones, but not them
+    labels = [Label(INPUT, "a"), Label(INTERNAL), Label(OUTPUT, "a")]
+    assert not any(lab is shared for lab, shared in zip(labels, (inp("a"), TAU, out("a"))))
+    edges = [(1, labels[0], 2), (2, labels[1], 3), (3, labels[2], 0)]
+    return ContractGraph(4, 1, edges, 0)
+
+
+def assert_holds_shared_labels(graph):
+    shared = {lab: lab for lab in (TAU, inp("a"), out("a"))}
+    labels = [lab for _, lab, _ in graph.edges]
+    assert set(labels) == set(shared)
+    assert all(lab is shared[lab] for lab in labels)
+
+
+def test_the_constructor_stores_the_shared_label_of_each_action():
+    assert_holds_shared_labels(fresh_label_graph())
+
+
+def test_merge_keeps_the_shared_labels():
+    merged, _ = merge_graphs([fresh_label_graph(), fresh_label_graph()])
+    assert_holds_shared_labels(merged)
+
+
+def pickled(obj, protocol):
+    return pickle.loads(pickle.dumps(obj, protocol))
+
+
+@pytest.mark.parametrize(
+    "clone",
+    [
+        copy.copy,
+        copy.deepcopy,
+        lambda obj: pickled(obj, 0),
+        lambda obj: pickled(obj, pickle.HIGHEST_PROTOCOL),
+    ],
+    ids=["copy", "deepcopy", "pickle-0", "pickle-highest"],
+)
+def test_copies_and_pickles_keep_the_shared_labels(clone):
+    graph = fresh_label_graph()
+    assert clone(graph) == graph
+    assert_holds_shared_labels(clone(graph))
+    assert clone(Label(INPUT, "a")) is inp("a")
+    assert clone(Label(OUTPUT, "a")) is out("a")
+    assert clone(Label(INTERNAL)) is TAU
+    assert clone(inp("b")) is inp("b")
 
 
 def test_label_ordering_is_kind_then_name():

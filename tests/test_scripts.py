@@ -85,3 +85,30 @@ def test_merge_probe_prints_compile_and_merge_times():
     assert compile_line.startswith("compile 4000 terms:")
     assert merge_line.startswith("merge both sides:")
     assert all(float(line.split()[-2]) > 0 for line in lines[2:])
+
+
+def test_code_lines_counts_only_code(tmp_path):
+    source = tmp_path / "sample.py"
+    source.write_text(
+        '"""A module docstring\n'
+        'over two lines."""\n'
+        "\n"
+        "# a comment-only line\n"
+        "def f(a, b):\n"
+        '    """A function docstring."""\n'
+        "    return a + b  # a trailing comment\n"
+        "\n"
+        "\n"
+        "print(\n"
+        "    f(1, 2),\n"
+        ")\n"
+    )
+    done = subprocess.run(
+        [sys.executable, str(SCRIPTS / "code_lines.py"), str(tmp_path)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    # def, return, and the three lines of the call
+    assert done.stdout.splitlines() == [f"     5 {source}", "     5 total"]
