@@ -18,6 +18,7 @@ import os
 import re
 import sys
 import time
+from itertools import repeat
 from pathlib import Path
 
 from . import __version__
@@ -57,22 +58,6 @@ def _requested_kinds(args) -> tuple:
     return ALL_RELATIONS
 
 
-def _read_definitions(path) -> list:
-    """The definitions of a contract file.  An unreadable or non-UTF-8 file
-    is an error, one leading byte-order mark is dropped, and a parse error
-    is prefixed with the file's path."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise BccError(f"cannot read {path}: {exc.strerror or exc}")
-    except UnicodeDecodeError as exc:
-        raise BccError(f"cannot read {path}: {exc}")
-    try:
-        return parse(text.removeprefix("\ufeff"))
-    except ParseError as exc:
-        raise BccError(f"{path}: {exc}")
-
-
 def _compile(source, max_states: int):
     """The graph of a ``(where, name, term)`` source.  ``where`` is the place
     the contract comes from, its file and line or a random pair's label and
@@ -87,16 +72,30 @@ def _compile(source, max_states: int):
 
 
 def _sources(path) -> dict:
-    """The ``_compile`` source of each definition of a file, by name."""
-    definitions = _read_definitions(path)
+    """The ``_compile`` source of each definition of a file, by name.  An
+    unreadable or non-UTF-8 file is an error, one leading byte-order mark is
+    dropped, and a parse error is prefixed with the file's path."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise BccError(f"cannot read {path}: {exc.strerror or exc}")
+    except UnicodeDecodeError as exc:
+        raise BccError(f"cannot read {path}: {exc}")
+    try:
+        definitions = parse(text.removeprefix("\ufeff"))
+    except ParseError as exc:
+        raise BccError(f"{path}: {exc}")
     return {d.name: (f"{path}:{d.line}", d.name, d.term) for d in definitions}
 
 
 def _pair_sources(args):
     """The ``_compile`` sources of the client and then the server named on
-    the command line; each file is parsed once.  The caller compiles each
-    before asking for the next, so errors come in argument order, and one
-    frame nearer ``main``, which leaves the compiler's recursion more room."""
+    the command line; each file is parsed once.  Callers map ``_compile``
+    over it, which compiles each side before the next file is read, so
+    errors come in argument order.  ``map`` calls ``_compile`` straight from
+    the command's frame, one frame nearer ``main`` than a helper would, so
+    the compiler's recursion keeps the room that the README's depth limits
+    measure."""
     parsed = {}
     files = (args.client_file, args.server_file)
     for path, name in zip(files, (args.client_name, args.server_name)):
@@ -161,9 +160,7 @@ def _witness_lines(verdicts) -> list:
 
 def _cmd_check(args) -> int:
     start = time.perf_counter()
-    sources = _pair_sources(args)
-    client = _compile(next(sources), args.max_states)
-    server = _compile(next(sources), args.max_states)
+    client, server = map(_compile, _pair_sources(args), repeat(args.max_states))
     kinds = _requested_kinds(args)
     verdicts = evaluate(client, server, kinds, max_pairs=args.max_pairs)
 
@@ -345,9 +342,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_dot(args) -> int:
-    sources = _pair_sources(args)
-    client = _compile(next(sources), args.max_states)
-    server = _compile(next(sources), args.max_states)
+    client, server = map(_compile, _pair_sources(args), repeat(args.max_states))
     composition = Composition(client, server)
     root = PairState(client.initial, server.initial)
     universe = composition.build_universe([root], args.max_pairs)

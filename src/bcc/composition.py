@@ -21,7 +21,7 @@ from itertools import repeat
 from typing import Iterable, NamedTuple, Optional
 
 from .errors import InvalidPairError, PairExplosionError, UniverseMismatchError
-from .lts import TAU, ContractGraph, discover, reverse
+from .lts import TAU, ContractGraph, _is_index, discover, reverse
 
 DEFAULT_MAX_PAIRS = 4096
 
@@ -49,7 +49,7 @@ class Composition:
         float, negative or out-of-range component would alias another pair."""
         c, s = ps if isinstance(ps, tuple) and len(ps) == 2 else (None, None)
         n = self.server.num_states
-        if type(c) is type(s) is int and 0 <= c < self.client.num_states and 0 <= s < n:
+        if _is_index(c, self.client.num_states) and _is_index(s, n):
             return c * n + s
         raise InvalidPairError(f"pair {ps!r} is not valid for this composition")
 

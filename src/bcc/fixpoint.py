@@ -4,12 +4,13 @@ One application of the functional maps a candidate relation to: the
 successful pairs, plus every pair that can take a tau-step and all of whose
 tau-successors already belong to the candidate.  The functional is monotone
 on the (finite) powerset lattice of a universe.  Its least fixed point is
-the attractor of the successful pairs and its greatest is the complement of
-backward reachability from the stuck unsuccessful pairs; both are computed
-in time linear in the universe with the graph kernels of ``lts``, not by
-iterating the functional (the test suite keeps that iteration as the
-oracle).  Relation restrictions can then be classified as pre-fixed,
-post-fixed, or fixed.
+the attractor of the successful pairs, computed here with the graph kernel
+of ``lts``.  Its greatest is the set where progress holds, the complement of
+backward reachability from the stuck unsuccessful pairs, and is computed by
+progress's own search in ``relations``.  Both take time linear in the
+universe, not iterating the functional (the test suite keeps that
+iteration as the oracle for both).  Relation restrictions can then be
+classified as pre-fixed, post-fixed, or fixed.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Iterable
 
 from .composition import PairState, PairUniverse
 from .errors import UniverseMismatchError
-from .lts import attractor, reach
+from .lts import _is_index, attractor
 from .relations import RelationKind, holding_indices
 
 
@@ -32,7 +33,7 @@ class PairSet:
     indices: frozenset
 
     def __post_init__(self):
-        if not all(0 <= i < len(self.universe) for i in self.indices):
+        if not all(_is_index(i, len(self.universe)) for i in self.indices):
             raise UniverseMismatchError("indices out of range for this universe")
 
     @classmethod
@@ -116,12 +117,11 @@ def least_fixpoint(universe: PairUniverse) -> PairSet:
 
 
 def greatest_fixpoint(universe: PairUniverse) -> PairSet:
-    """The greatest fixed point: every pair from which no stuck unsuccessful
-    pair is tau-reachable.  A path to such a pair never passes a successful
-    one, since success is absorbing."""
-    everything = frozenset(range(len(universe)))
-    stuck = universe.stuck_indices - universe.successful_indices
-    return PairSet._of(universe, everything - reach(universe.predecessors_idx, stuck))
+    """The greatest fixed point, which is the set where progress holds: every
+    pair from which no stuck unsuccessful pair is tau-reachable, found by
+    progress's own search.  The test suite checks it against Kleene
+    iteration of the functional from the full set."""
+    return restrict(universe, RelationKind.PROGRESS)
 
 
 def restrict(universe: PairUniverse, kind: RelationKind) -> PairSet:

@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 
 from .lang import _NAME_RE, _RESERVED, NIL, Choice, Prefix, Rec, Term, Var
-from .lts import TAU, inp, out
+from .lts import TAU, _is_index, inp, out
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -76,8 +76,10 @@ class GenConfig:
     choice_probability: float = 0.25
 
     def __post_init__(self):
-        if not 0 <= self.seed <= _MASK:
-            raise ValueError("seed must fit in 64 bits")
+        if not _is_index(self.seed, _MASK + 1):
+            raise ValueError(f"seed must be a plain int in [0, 2**64), got {self.seed!r}")
+        if type(self.max_depth) is not int:
+            raise ValueError(f"max_depth must be a plain int, got {self.max_depth!r}")
         if self.max_depth < 0:
             raise ValueError("max_depth must be non-negative")
         if self.max_depth > MAX_DEPTH:

@@ -157,10 +157,11 @@ def reverse(adj) -> tuple:
     return tuple(map(tuple, pred))
 
 
-def _is_state(s, num_states: int) -> bool:
-    """True iff s is a state id below num_states: a plain int, never a bool
-    or a float, which would index a different state or none."""
-    return type(s) is int and 0 <= s < num_states
+def _is_index(i, n: int) -> bool:
+    """True iff i is an id in ``range(n)``: a plain int, never a bool or a
+    float, which would stand for a different id or none.  The one id rule
+    of states, pair components, pair-set indices and generator seeds."""
+    return type(i) is int and 0 <= i < n
 
 
 def discover(record: dict, roots, successors, bound: int) -> bool:
@@ -245,16 +246,16 @@ class ContractGraph:
             raise ValueError(f"state count {num_states!r} is not an int")
         if num_states < 1:
             raise ValueError("a graph needs at least one state")
-        if not _is_state(initial, num_states):
+        if not _is_index(initial, num_states):
             raise ValueError(f"initial state {initial!r} out of range")
-        if zero is not None and not _is_state(zero, num_states):
+        if zero is not None and not _is_index(zero, num_states):
             raise ValueError(f"success state {zero!r} out of range")
 
         outgoing = [set() for _ in range(num_states)]
         for s, lab, t in edges:
             if not isinstance(lab, Label):
                 raise ValueError(f"edge label {lab!r} is not a Label")
-            if not (_is_state(s, num_states) and _is_state(t, num_states)):
+            if not (_is_index(s, num_states) and _is_index(t, num_states)):
                 raise ValueError(f"edge ({s!r}, {lab}, {t!r}) leaves the state range")
             outgoing[s].add((_shared_label((lab.kind, lab.name)), t))
         if zero is not None and outgoing[zero]:
@@ -332,7 +333,7 @@ class ContractGraph:
         return diverging(tau_adj, self._tau_pred, tau_stuck)
 
     def _check_state(self, s: int) -> None:
-        if not _is_state(s, self.num_states):
+        if not _is_index(s, self.num_states):
             raise UnknownStateError(f"state {s!r} is not in this graph")
 
     # -- queries ---------------------------------------------------------

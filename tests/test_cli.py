@@ -166,6 +166,30 @@ def test_check_too_deep_input_exits_two(capsys, tmp_path, client):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "client",
+    ["!a." * 990 + "0", " + ".join(["!a.0"] * 988), "rec X." + "!a." * 988 + "X"],
+    ids=["prefix-chain", "wide-sum", "rec-loop"],
+)
+def test_check_gets_a_verdict_just_below_the_readme_depth_limits(tmp_path, client):
+    # three below the README's limits (993, 991, 991), run through
+    # ``sys.exit(main())`` as the installed script runs it: a change that
+    # adds frames to the compile path fails here before the README is wrong
+    path = tmp_path / "deep.bc"
+    path.write_text(f"p = {client}\nq = rec Y.?a.Y\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    script = "import sys; from bcc.cli import main; sys.exit(main())"
+    argv = ["check", str(path), "p", str(path), "q", "--json"]
+    done = subprocess.run(
+        [sys.executable, "-c", script, *argv], capture_output=True, env=env, timeout=60
+    )
+    assert done.returncode in (0, 1), done.stderr
+    (entry,) = json.loads(done.stdout)["pairs"]
+    assert set(entry["verdicts"]) == {"pg", "mst", "shd", "beh", "io", "may"}
+
+
 def test_check_deep_parentheses_gets_a_verdict(capsys, tmp_path):
     path = tmp_path / "deep.bc"
     path.write_text(f"p = {'(' * 2000}!a.0{')' * 2000}\nq = rec Y.?a.Y\n")

@@ -234,7 +234,9 @@ def test_pair_sets_reject_universe_mixing(graphs):
         PairSet(u1, frozenset({99}))
 
 
-@pytest.mark.parametrize("bad", [-1, 2, 99], ids=["negative", "size", "far"])
+@pytest.mark.parametrize(
+    "bad", [-1, 2, 99, 0.5, True], ids=["negative", "size", "far", "float", "bool"]
+)
 def test_pair_set_constructor_rejects_an_index_outside_the_universe(graphs, bad):
     universe = universe_of(graphs["p1"], graphs["q1"])
     assert len(universe) == 2

@@ -52,6 +52,10 @@ def test_config_validation():
         GenConfig(seed=-1)
     with pytest.raises(ValueError):
         GenConfig(seed=0, max_depth=-2)
+    # ids are plain ints: a float or bool seed or depth is not one
+    for bad in ({"seed": 1.5}, {"seed": True}, {"max_depth": 2.5}, {"max_depth": True}):
+        with pytest.raises(ValueError):
+            GenConfig(**{"seed": 0, **bad})
 
 
 def test_config_bounds_max_depth_from_above():
