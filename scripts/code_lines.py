@@ -51,6 +51,9 @@ def main(argv) -> int:
         return 2
     files = []
     for arg in map(Path, argv):
+        if not arg.exists():
+            print(f"error: {arg}: no such file or directory", file=sys.stderr)
+            return 2
         files += sorted(arg.rglob("*.py")) if arg.is_dir() else [arg]
     total = 0
     for path in files:

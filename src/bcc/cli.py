@@ -39,19 +39,6 @@ FAIL_MARK = "✗"
 _PAIR_NAME_RE = re.compile(r"^([pq])([0-9]+)$")
 
 
-def _default_max_pairs() -> int:
-    raw = os.environ.get(ENV_MAX_PAIRS)
-    if raw is None:
-        return DEFAULT_MAX_PAIRS
-    try:
-        value = int(raw)
-    except ValueError:
-        raise BccError(f"{ENV_MAX_PAIRS} must be an integer, got {raw!r}")
-    if value < 1:
-        raise BccError(f"{ENV_MAX_PAIRS} must be positive, got {raw!r}")
-    return value
-
-
 def _requested_kinds(args) -> tuple:
     if args.relations and not args.all:
         return tuple(dict.fromkeys(map(RelationKind, args.relations)))
@@ -73,8 +60,8 @@ def _compile(source, max_states: int):
 
 def _sources(path) -> dict:
     """The ``_compile`` source of each definition of a file, by name.  An
-    unreadable or non-UTF-8 file is an error, one leading byte-order mark is
-    dropped, and a parse error is prefixed with the file's path."""
+    unreadable or non-UTF-8 file is an error, and a parse error is prefixed
+    with the file's path."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -82,7 +69,7 @@ def _sources(path) -> dict:
     except UnicodeDecodeError as exc:
         raise BccError(f"cannot read {path}: {exc}")
     try:
-        definitions = parse(text.removeprefix("\ufeff"))
+        definitions = parse(text)
     except ParseError as exc:
         raise BccError(f"{path}: {exc}")
     return {d.name: (f"{path}:{d.line}", d.name, d.term) for d in definitions}
@@ -435,13 +422,17 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         bounds = {"--max-states": args.max_states, "--max-pairs": args.max_pairs}
+        if args.max_pairs is None:
+            raw = os.environ.get(ENV_MAX_PAIRS, str(DEFAULT_MAX_PAIRS))
+            try:
+                args.max_pairs = bounds[ENV_MAX_PAIRS] = int(raw)
+            except ValueError:
+                raise BccError(f"{ENV_MAX_PAIRS} must be an integer, got {raw!r}")
         for flag, value in bounds.items():
             if value is not None and value < 1:
                 raise BccError(f"{flag} must be positive, got {value}")
         if getattr(args, "random", 0) < 0:
             raise BccError(f"--random must not be negative, got {args.random}")
-        if args.max_pairs is None:
-            args.max_pairs = _default_max_pairs()
         return args.func(args)
     except (BccError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -33,6 +33,7 @@ class PairSet:
     indices: frozenset
 
     def __post_init__(self):
+        object.__setattr__(self, "indices", frozenset(self.indices))
         if not all(_is_index(i, len(self.universe)) for i in self.indices):
             raise UniverseMismatchError("indices out of range for this universe")
 

@@ -76,6 +76,7 @@ class GenConfig:
     choice_probability: float = 0.25
 
     def __post_init__(self):
+        object.__setattr__(self, "alphabet", tuple(self.alphabet))
         if not _is_index(self.seed, _MASK + 1):
             raise ValueError(f"seed must be a plain int in [0, 2**64), got {self.seed!r}")
         if type(self.max_depth) is not int:

@@ -204,9 +204,15 @@ def _term(line, tokens, pos) -> tuple:
         var, prefixes, left = name, [], None
 
 
+def _lines(text: str) -> list:
+    r"""The lines of a text: a line ends at "\n", "\r\n" or a lone "\r", as in
+    editors and text-mode reads, and at no other character."""
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
 def parse_term(text: str) -> Term:
-    """Parse a single term (newlines are treated as spaces)."""
-    line = (text.replace("\n", " "), 1)
+    """Parse a single term (each line end is treated as a space)."""
+    line = (" ".join(_lines(text)), 1)
     tokens = _tokenize(*line)
     t, pos = _term(line, tokens, 0)
     _end(line, tokens, pos, "term")
@@ -214,10 +220,11 @@ def parse_term(text: str) -> Term:
 
 
 def parse(text: str) -> list:
-    """Parse a contract file into its definitions, in source order."""
+    """Parse a contract file into its definitions, in source order.  One
+    leading byte-order mark is dropped."""
     defs = []
     first_line = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(_lines(text.removeprefix("\ufeff")), start=1):
         stripped = raw.split("#", 1)[0]
         if not stripped.strip():
             continue

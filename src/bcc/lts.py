@@ -118,6 +118,10 @@ class BarbSet:
     inputs: frozenset = frozenset()
     outputs: frozenset = frozenset()
 
+    def __post_init__(self):
+        object.__setattr__(self, "inputs", frozenset(self.inputs))
+        object.__setattr__(self, "outputs", frozenset(self.outputs))
+
     def __bool__(self) -> bool:
         return bool(self.inputs or self.outputs)
 

@@ -497,9 +497,13 @@ class _TermParser:
         )
 
 
+# a line ends here and nowhere else
+_LINE_END_RE = re.compile(r"\r\n|\r|\n")
+
+
 def reference_parse_term(text: str) -> Term:
-    """Parse a single term (newlines are treated as spaces)."""
-    parser = _TermParser(_tokenize(text.replace("\n", " "), 1))
+    """Parse a single term (each line end is treated as a space)."""
+    parser = _TermParser(_tokenize(_LINE_END_RE.sub(" ", text), 1))
     t = parser.term()
     kind, text_, line, col = parser.peek()
     if kind != "eof":
@@ -508,10 +512,12 @@ def reference_parse_term(text: str) -> Term:
 
 
 def reference_parse(text: str) -> list:
-    """Parse a contract file into its definitions, in source order."""
+    """Parse a contract file into its definitions, in source order; one
+    leading byte-order mark is dropped."""
     defs = []
     first_line = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    lines = _LINE_END_RE.split(text.removeprefix("\ufeff"))
+    for line_no, raw in enumerate(lines, start=1):
         stripped = raw.split("#", 1)[0]
         if not stripped.strip():
             continue

@@ -126,6 +126,13 @@ def test_check_pair_bound_env_override(capsys, corpus_file, monkeypatch):
     assert code == 2 and "BCC_MAX_PAIRS" in err
 
 
+def test_check_rejects_a_non_positive_env_bound(capsys, corpus_file, monkeypatch):
+    monkeypatch.setenv("BCC_MAX_PAIRS", "0")
+    code, out, err = run(capsys, "check", corpus_file, "p1", corpus_file, "q1")
+    assert (code, out) == (2, "")
+    assert err == "error: BCC_MAX_PAIRS must be positive, got 0\n"
+
+
 def test_check_flag_overrides_env(capsys, corpus_file, monkeypatch):
     monkeypatch.setenv("BCC_MAX_PAIRS", "1")
     code, _, _ = run(
@@ -299,6 +306,14 @@ def test_parse_error_names_the_file(
     assert code == 2
     assert out == ""
     assert err == "error: " + error.format(file=broken, name=name) + "\n"
+
+
+def test_a_form_feed_line_counts_as_one_line(capsys, tmp_path):
+    path = tmp_path / "paged.bc"
+    path.write_text("p1 = !a.0\n\f\nq1 = rec X.X\n")
+    code, out, err = run(capsys, "check", str(path), "p1", str(path), "q1")
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}:3: contract 'q1': unguarded-recursion: X\n"
 
 
 def test_a_byte_order_mark_is_dropped(capsys, tmp_path):

@@ -244,6 +244,17 @@ def test_pair_set_constructor_rejects_an_index_outside_the_universe(graphs, bad)
         PairSet(universe, frozenset({0, bad}))
 
 
+def test_pair_set_constructor_freezes_its_indices(graphs):
+    universe = universe_of(graphs["p1"], graphs["q1"])
+    twice = PairSet(universe, [0, 0])
+    assert len(twice) == 1 and twice.pairs() == (universe.pairs[0],)
+    from_set = PairSet(universe, {0})
+    frozen = PairSet(universe, frozenset({0}))
+    assert from_set == frozen and hash(from_set) == hash(frozen)
+    drawn = PairSet(universe, (i for i in [0, 1]))
+    assert len(drawn) == 2 and drawn == PairSet.full(universe)
+
+
 def test_internal_pair_sets_are_in_range(graphs):
     # the operators, fixed points and restrictions skip the constructor's
     # check, so each result must already be a valid subset of the universe

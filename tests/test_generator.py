@@ -58,6 +58,15 @@ def test_config_validation():
             GenConfig(**{"seed": 0, **bad})
 
 
+def test_config_freezes_its_alphabet():
+    frozen = GenConfig(seed=1, alphabet=("a", "b"))
+    listed = GenConfig(seed=1, alphabet=["a", "b"])
+    assert listed == frozen and hash(listed) == hash(frozen)
+    drawn = GenConfig(seed=1, alphabet=(name for name in "ab"))
+    assert drawn.alphabet == ("a", "b")
+    assert pretty(random_contract(drawn)) == pretty(random_contract(frozen)) == "!b.0"
+
+
 def test_config_bounds_max_depth_from_above():
     # only configured here: drawing terms this deep is slow
     assert GenConfig(seed=0, max_depth=MAX_DEPTH).max_depth == MAX_DEPTH

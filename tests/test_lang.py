@@ -86,6 +86,35 @@ def test_unexpected_character_position():
     assert (err.value.line, err.value.column) == (1, 8)
 
 
+# a line ends at "\n", "\r\n" or a lone "\r"; a form feed, a vertical tab,
+# U+0085 or U+2028 ends none
+
+
+def test_a_form_feed_line_is_one_line():
+    assert [d.line for d in parse("p1 = 0\n\f\nq1 = 0")] == [1, 3]
+    with pytest.raises(ParseError, match="^3:9: "):
+        parse("p1 = 0\n\f\nq1 = !a.")
+
+
+def test_a_line_separator_in_a_comment_ends_no_line():
+    assert [d.name for d in parse("p1 = !a.0  # a\u2028b\nq1 = 0")] == ["p1", "q1"]
+
+
+def test_a_line_ends_at_a_crlf_or_a_lone_cr():
+    assert [d.line for d in parse("p1 = 0\r\nq1 = 0\rr1 = 0")] == [1, 2, 3]
+
+
+def test_parse_term_reads_a_line_end_as_a_space():
+    assert parse_term("!a.\r\n0") == Prefix(out("a"), Nil())
+    assert parse_term("!a.\r0 +\n0") == Choice(Prefix(out("a"), Nil()), Nil())
+
+
+def test_parse_drops_one_leading_byte_order_mark():
+    assert parse("\ufeffp1 = 0") == parse("p1 = 0")
+    with pytest.raises(ParseError, match="^1:1: unexpected character"):
+        parse("\ufeff\ufeffp1 = 0")
+
+
 def test_duplicate_names_rejected():
     with pytest.raises(DuplicateNameError) as err:
         parse("a = 0\na = !x.0\n")
@@ -247,7 +276,7 @@ def test_roundtrip_on_generated_contracts(seed):
 fragments = st.sampled_from(
     ["0", "?", "!", ".", "+", "(", ")", "=", "a", "b1", "X", "x_y", "rec", "tau",
      "?a.", "!b.", "tau.", "rec X.", " + ", " ", "\t", "1", "_", "$", "\xe9",
-     "\r", "#"]
+     "\r", "#", "\n", "\f", "\u2028", "\ufeff"]
 )
 
 
@@ -291,11 +320,14 @@ def test_parse_matches_reference(first, second):
 # inputs where the lexeme regex could split a line differently from the
 # character loop: a reserved word or "0" inside a name, "0" against a digit,
 # the column after a tab, a non-ASCII letter, a carriage return, a reserved
-# word where a name must be, and a definition with no term
+# word where a name must be, a definition with no term, and the characters
+# that end a line or do not
 @pytest.mark.parametrize(
     "source",
-    ["taux", "a0", "01", "\t$", "!a.\xe9", "!a.0\r", "rec tau.0", "p ="],
-    ids=["taux", "a0", "01", "tab-then-bad", "e-acute", "trailing-cr", "rec-tau", "p-eq"],
+    ["taux", "a0", "01", "\t$", "!a.\xe9", "!a.0\r", "rec tau.0", "p =",
+     "!a.\r\n0", "!a.\f0", "0 # \u2028 x", "\ufeff!a.0"],
+    ids=["taux", "a0", "01", "tab-then-bad", "e-acute", "trailing-cr", "rec-tau",
+         "p-eq", "crlf", "form-feed", "line-separator-in-comment", "bom"],
 )
 def test_lexer_edge_cases_match_reference(source):
     assert parsed_or_error(parse_term, source) == parsed_or_error(

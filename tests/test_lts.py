@@ -247,6 +247,14 @@ def test_tau_closure_monotone_under_edge_addition():
 # -- barbs ----------------------------------------------------------------------
 
 
+def test_barb_sets_freeze_what_they_are_given():
+    barbs = BarbSet({"a"}, ["b", "b"])
+    assert (barbs.inputs, barbs.outputs) == (frozenset({"a"}), frozenset({"b"}))
+    assert type(barbs.inputs) is type(barbs.outputs) is frozenset
+    frozen = BarbSet(frozenset({"a"}), frozenset({"b"}))
+    assert barbs == frozen and hash(barbs) == hash(frozen)
+
+
 def test_weak_barbs_examples(graphs):
     p1, p2 = graphs["p1"], graphs["p2"]
     assert p1.weak_barbs(p1.initial) == BarbSet(frozenset(), frozenset({"a", "b"}))

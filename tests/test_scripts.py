@@ -112,3 +112,16 @@ def test_code_lines_counts_only_code(tmp_path):
     assert done.returncode == 0, done.stderr
     # def, return, and the three lines of the call
     assert done.stdout.splitlines() == [f"     5 {source}", "     5 total"]
+
+
+@pytest.mark.parametrize("arg", ["nonexistent", "--help"])
+def test_code_lines_rejects_a_missing_path(tmp_path, arg):
+    done = subprocess.run(
+        [sys.executable, str(SCRIPTS / "code_lines.py"), arg],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        cwd=tmp_path,
+    )
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == f"error: {arg}: no such file or directory\n"
