@@ -64,12 +64,6 @@ from .relations import (
     ALL_RELATIONS,
     RelationKind,
     Verdict,
-    check_beh,
-    check_io,
-    check_may,
-    check_must,
-    check_progress,
-    check_should,
     evaluate,
     holding_indices,
     verdict_at,

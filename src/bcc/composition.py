@@ -98,9 +98,6 @@ class Composition:
     def is_successful(self, ps: PairState) -> bool:
         return self._code(ps) // self.server.num_states == self.client.zero
 
-    def is_stuck(self, ps: PairState) -> bool:
-        return not self.tau_successors(ps)
-
     def explore(self, record: dict, roots, max_pairs: int) -> bool:
         """Extend a tau-closed ``record`` (pair code -> the sorted codes of
         its tau-successors) to the least tau-closed superset of the roots:
@@ -116,7 +113,7 @@ class Composition:
     ) -> "PairUniverse":
         """Least tau-successor-closed superset of the roots, numbered as
         ``explore`` discovers the pairs."""
-        roots = tuple(dict.fromkeys(PairState(*r) for r in roots))
+        roots = self._pairs(dict.fromkeys(map(self._code, roots)))
         record = {}
         if not self.explore(record, roots, max_pairs):
             raise PairExplosionError(f"more than {max_pairs} pairs in universe")
@@ -172,10 +169,6 @@ class PairUniverse:
     def server_graph(self) -> ContractGraph:
         return self.composition.server
 
-    @property
-    def root(self) -> PairState:
-        return self.roots[0]
-
     def __len__(self) -> int:
         return len(self.codes)
 
@@ -197,9 +190,6 @@ class PairUniverse:
             raise UniverseMismatchError(f"pair {ps!r} is not in this universe")
         return i
 
-    def is_successful_index(self, i: int) -> bool:
-        return i in self.successful_indices
-
     def __repr__(self) -> str:
         return (
             f"<PairUniverse pairs={len(self)} roots={len(self.roots)} "
@@ -219,7 +209,7 @@ def to_dot(universe: PairUniverse) -> str:
     nodes = [_quote(f"{cname}.{c} ‖ {sname}.{s}") for c, s in universe.pairs]
     lines = ["digraph universe {", "  rankdir=LR;"]
     for i, node in enumerate(nodes):
-        shape = "doublecircle" if universe.is_successful_index(i) else "circle"
+        shape = "doublecircle" if i in universe.successful_indices else "circle"
         lines.append(f"  {node} [shape={shape}];")
     for i, targets in enumerate(universe.successors_idx):
         lines += [f'  {nodes[i]} -> {nodes[t]} [label="tau"];' for t in targets]

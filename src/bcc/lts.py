@@ -33,7 +33,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from .errors import UnknownStateError
 
@@ -60,10 +60,6 @@ class Label:
             raise ValueError("the internal action carries no name")
         if self.kind != INTERNAL and not self.name:
             raise ValueError("visible actions need a name")
-
-    @property
-    def is_internal(self) -> bool:
-        return self.kind == INTERNAL
 
     @property
     def is_visible(self) -> bool:
@@ -347,11 +343,6 @@ class ContractGraph:
         self._check_state(s)
         return self._out[s]
 
-    def successors(self, s: int, label: Label) -> tuple:
-        """Targets of label-edges out of s, ordered by state id."""
-        self._check_state(s)
-        return tuple(t for (lab, t) in self._out[s] if lab == label)
-
     def barbs(self, s: int) -> BarbSet:
         """Visible actions immediately available at s."""
         self._check_state(s)
@@ -399,7 +390,7 @@ class ContractGraph:
         )
 
 
-def merge_graphs(graphs: Sequence[ContractGraph]) -> tuple:
+def merge_graphs(graphs: Iterable[ContractGraph]) -> tuple:
     """Disjoint union of graphs sharing one success state.
 
     The component success states are identified and become state 0 of the
@@ -412,6 +403,7 @@ def merge_graphs(graphs: Sequence[ContractGraph]) -> tuple:
     success, which becomes 0.  So only a row of a component whose success
     state was not 0 can fall out of order, and only such a row is sorted.
     """
+    graphs = tuple(graphs)
     if not graphs:
         raise ValueError("merge_graphs needs at least one graph")
     any_zero = any(g.zero is not None for g in graphs)

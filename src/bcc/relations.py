@@ -219,39 +219,3 @@ def evaluate(
     root = PairState(client.initial, server.initial)
     universe = composition.build_universe([root], max_pairs)
     return _verdicts(universe, universe.index_of(root), kinds)
-
-
-def _single(client, server, kind, max_pairs):
-    return evaluate(client, server, [kind], max_pairs=max_pairs)[kind]
-
-
-def check_progress(client, server, *, max_pairs=DEFAULT_MAX_PAIRS) -> Verdict:
-    """Every stuck reduct of the composition is successful."""
-    return _single(client, server, RelationKind.PROGRESS, max_pairs)
-
-
-def check_must(client, server, *, max_pairs=DEFAULT_MAX_PAIRS) -> Verdict:
-    """Every maximal tau-trace of the composition visits a successful pair."""
-    return _single(client, server, RelationKind.MUST, max_pairs)
-
-
-def check_should(client, server, *, max_pairs=DEFAULT_MAX_PAIRS) -> Verdict:
-    """From every reduct of the composition a successful pair stays reachable."""
-    return _single(client, server, RelationKind.SHOULD, max_pairs)
-
-
-def check_beh(client, server, *, max_pairs=DEFAULT_MAX_PAIRS) -> Verdict:
-    """No stuck unsuccessful reduct, and whenever the server component can
-    diverge on its own the client can terminate on its own."""
-    return _single(client, server, RelationKind.BEH, max_pairs)
-
-
-def check_io(client, server, *, max_pairs=DEFAULT_MAX_PAIRS) -> Verdict:
-    """At every reduct the client's weak outputs are matched by server weak
-    inputs; an input-only client must be matched by server outputs."""
-    return _single(client, server, RelationKind.IO, max_pairs)
-
-
-def check_may(client, server, *, max_pairs=DEFAULT_MAX_PAIRS) -> Verdict:
-    """Some tau-trace of the composition reaches a successful pair."""
-    return _single(client, server, RelationKind.MAY, max_pairs)

@@ -50,7 +50,7 @@ def edge_targets(graph, state, label):
 
 
 def raw_tau_targets(graph, state):
-    return [t for (s, lab, t) in graph.edges if s == state and lab.is_internal]
+    return edge_targets(graph, state, TAU)
 
 
 def pair_moves(client, server, ps):

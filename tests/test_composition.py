@@ -84,7 +84,7 @@ def test_compose_step_of_terminal_pair(graphs):
 def test_compose_step_no_synchronisation_yet(graphs):
     composition = comp(graphs, "p2", "q2")
     moves = composition.compose_step(root_of(graphs, "p2", "q2"))
-    taus = [m for m in moves if m[0].is_internal]
+    taus = [m for m in moves if m[0] == TAU]
     assert taus == [(TAU, PairState(1, 0))]  # only p2's own tau
 
 
@@ -113,12 +113,14 @@ def test_compose_step_matches_rule_rederivation(seed):
 def test_invalid_roots_rejected_before_the_record_changes(graphs):
     composition = comp(graphs, "p1", "q1")
     root = root_of(graphs, "p1", "q1")
-    with pytest.raises(InvalidPairError):
-        composition.build_universe([root, PairState(9, 0)])
-    record = {}
-    with pytest.raises(InvalidPairError):
-        composition.explore(record, [root, PairState(0, 9)], max_pairs=10)
-    assert record == {}
+    # a list is no pair here, as for explore and tau_successors
+    for bad in (PairState(9, 0), PairState(0, 9), (1, 1, 0), 5, [1, 1]):
+        with pytest.raises(InvalidPairError):
+            composition.build_universe([root, bad])
+        record = {}
+        with pytest.raises(InvalidPairError):
+            composition.explore(record, [root, bad], max_pairs=10)
+        assert record == {}
 
 
 # -- tau_successors -----------------------------------------------------------
@@ -143,7 +145,7 @@ def test_is_successful_checks_the_client_only(graphs):
     composition = comp(graphs, "p1", "q2")
     assert composition.is_successful(PairState(0, 0))
     assert not composition.is_successful(PairState(1, 0))
-    # a plain tuple is a pair too, as for tau_successors and is_stuck
+    # a plain tuple is a pair too, as for tau_successors
     assert composition.is_successful((0, 0))
     assert not composition.is_successful((1, 0))
 
@@ -157,9 +159,9 @@ def test_client_without_terminal_state_is_never_successful(graphs):
 def test_is_stuck_examples(graphs):
     p3q3 = comp(graphs, "p3", "q3")
     # after the synchronisation on b: client at ?c.0, server terminated
-    assert p3q3.is_stuck(PairState(2, 0))
-    assert not comp(graphs, "p2", "q2").is_stuck(root_of(graphs, "p2", "q2"))
-    assert p3q3.is_stuck(PairState(0, 0))
+    assert not p3q3.tau_successors(PairState(2, 0))
+    assert comp(graphs, "p2", "q2").tau_successors(root_of(graphs, "p2", "q2"))
+    assert not p3q3.tau_successors(PairState(0, 0))
 
 
 # -- universes --------------------------------------------------------------------
@@ -169,7 +171,7 @@ def test_universe_of_p1_q1(graphs):
     universe = universe_of(graphs["p1"], graphs["q1"])
     assert universe.pairs == (PairState(1, 1), PairState(0, 0))
     assert universe.successful_indices == {1}
-    assert universe.root == PairState(1, 1)
+    assert universe.roots[0] == PairState(1, 1)
 
 
 def test_universe_of_terminal_pair(graphs):
@@ -303,7 +305,7 @@ def test_successful_pairs_move_only_by_server_taus(seed):
         if composition.is_successful(ps):
             for t in composition.tau_successors(ps):
                 assert t.client == ps.client
-                assert t.server in server.successors(ps.server, TAU)
+                assert (TAU, t.server) in server.out_edges(ps.server)
 
 
 def product_universe(client, server):
