@@ -8,17 +8,22 @@ First runs ``bcc verify-propositions corpus --random 2000 --seed 1
 --max-pairs 100000`` in-process, and then the same command over those 2000
 pairs written to a contract file (as the benchmark's verify-random workload
 does), each twice, and prints the collections of the second, warm run by
-generation (0, 1, 2), counted through ``gc.callbacks``.  Then parses that
-file, compiles the 4000 terms of ``random_pairs(1, 2000)`` and merges the
-client and the server graphs, as ``verify-propositions`` does, and prints
-the best of 5 times for the parse, the compile and the two merges together.
-It takes no options, and exits 1 unless the parse equals
+generation (0, 1, 2), counted through ``gc.callbacks``.  Then times, best of
+5, the library path over those pairs: ``parse`` of that file, compiling the
+4000 terms of ``random_pairs(1, 2000)`` with ``compile_term`` and merging
+the client and the server graphs with ``merge_graphs``.  Last it times the
+command line's own front end, which reads the file and compiles each side
+of each pair straight into that side's merged graph
+(``cli._merged_pairs``), from the file to the two merged graphs.  It takes
+no options, and exits 1 unless the parse equals
 ``tests/oracles.reference_parse`` on the same text, each compiled graph
-equals its rebuild through the validating ``ContractGraph`` constructor and
-each merged graph equals the graph built from scratch on the renumbered
-union of its components' edges (``tests/oracles.union_brute``).
+equals its rebuild through the validating ``ContractGraph`` constructor,
+and the merged graphs of both paths equal the graph built from scratch on
+the renumbered union of the compiled graphs' edges
+(``tests/oracles.union_brute``).
 """
 
+import argparse
 import contextlib
 import gc
 import io
@@ -31,7 +36,9 @@ ROOT = __file__.rsplit("/scripts/", 1)[0]
 sys.path[:0] = [ROOT + "/src", ROOT + "/tests"]
 
 from bcc import ContractGraph, compile_term, merge_graphs, parse, pretty
+from bcc.cli import _merged_pairs
 from bcc.cli import main as bcc_main
+from bcc.lang import DEFAULT_MAX_STATES
 from bcc.generator import random_pairs
 from oracles import reference_parse, union_brute
 
@@ -110,11 +117,21 @@ def main() -> int:
         if (g._out, g.edges) != (rebuilt._out, rebuilt.edges):
             print(f"error: {pretty(term)} compiles unlike its rebuild", file=sys.stderr)
             wrong = True
-    for (name, side), (graph, initials) in zip(sides.items(), merged):
+    with tempfile.TemporaryDirectory() as work:
+        Path(work, "pairs.bc").write_text(text)
+        args = argparse.Namespace(
+            corpus_dir=work, random=0, seed=0, max_states=DEFAULT_MAX_STATES
+        )
+        front_ms, (_, *by_cli) = best_of_5_ms(lambda: _merged_pairs(args))
+    print(f"cli front end:       {front_ms:8.1f} ms")
+    by_cli = [by_cli[:2], by_cli[2:]]
+    for (name, side), *paths in zip(sides.items(), merged, by_cli):
         union, union_initials = union_brute(side)
-        if (graph, graph._out, initials) != (union, union._out, union_initials):
-            print(f"error: the merged {name} graph differs from its union", file=sys.stderr)
-            wrong = True
+        for path, (graph, initials) in zip(("library", "cli"), paths):
+            if (graph, graph._out, initials) != (union, union._out, union_initials):
+                print(f"error: the {path}'s merged {name} graph differs from "
+                      "its union", file=sys.stderr)
+                wrong = True
     return 1 if wrong else 0
 
 

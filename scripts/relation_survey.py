@@ -14,7 +14,7 @@ from collections import Counter
 sys.path.insert(0, __file__.rsplit("/scripts/", 1)[0] + "/src")
 
 from bcc import RelationKind, compile_term, evaluate
-from bcc.generator import GenConfig, random_pairs
+from bcc.generator import iter_random_pairs
 from bcc.propositions import INCLUSIONS
 
 
@@ -29,16 +29,16 @@ def main() -> int:
         parser.error(f"--count must be positive, got {args.count}")
     alphabet = tuple(args.alphabet.split(","))
     try:
-        GenConfig(seed=0, max_depth=args.max_depth, alphabet=alphabet)
+        pairs = iter_random_pairs(
+            args.seed, args.count, max_depth=args.max_depth, alphabet=alphabet
+        )
     except ValueError as exc:
         parser.error(str(exc))
 
     holds = Counter()
     joint = Counter()
     violations = []
-    for client_term, server_term in random_pairs(
-        args.seed, args.count, max_depth=args.max_depth, alphabet=alphabet
-    ):
+    for client_term, server_term in pairs:
         verdicts = evaluate(compile_term(client_term), compile_term(server_term))
         for kind, verdict in verdicts.items():
             if verdict.holds:

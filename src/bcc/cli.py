@@ -26,8 +26,8 @@ from .composition import DEFAULT_MAX_PAIRS, Composition, PairState, PairUniverse
 from .errors import BccError, IllFormedError, ParseError, StateExplosionError
 from .fixpoint import classify
 from .generator import iter_random_pairs
-from .lang import DEFAULT_MAX_STATES, compile_term, parse
-from .lts import merge_graphs
+from .lang import DEFAULT_MAX_STATES, _add, _definitions, _rows
+from .lts import _is_index, _Union
 from .propositions import relation_sets, verify_universe
 from .relations import ALL_RELATIONS, RelationKind, evaluate
 
@@ -45,17 +45,20 @@ def _requested_kinds(args) -> tuple:
     return ALL_RELATIONS
 
 
-def _compile(source, max_states: int):
-    """The graph of a ``(where, name, term)`` source.  ``where`` is the place
-    the contract comes from, its file and line or a random pair's label and
-    side, and prefixes a compile error, which names the contract too."""
-    where, name, term = source
+def _compile(source, max_states: int, union=None):
+    """Compile a ``(where, name, rows)`` source into a ``lts._Union``, or,
+    given none, into a graph of its own, which is returned.  ``where`` is
+    the place the contract comes from, its file and line or a random pair's
+    label and side, and prefixes a compile error, which names the contract
+    too."""
+    where, name, rows = source
     try:
-        return compile_term(term, max_states, name=name)
+        joined = _add(_Union() if union is None else union, rows, max_states, name)
     except IllFormedError as exc:
         raise BccError(f"{where}: contract {name!r}: {exc}") from exc
     except StateExplosionError as exc:
         raise BccError(f"{where}: {exc}") from exc
+    return joined.graph(name)[0] if union is None else None
 
 
 def _sources(path) -> dict:
@@ -69,10 +72,10 @@ def _sources(path) -> dict:
     except UnicodeDecodeError as exc:
         raise BccError(f"cannot read {path}: {exc}")
     try:
-        definitions = parse(text)
+        definitions = _definitions(text)
     except ParseError as exc:
         raise BccError(f"{path}: {exc}")
-    return {d.name: (f"{path}:{d.line}", d.name, d.term) for d in definitions}
+    return {name: (f"{path}:{line}", name, rows) for name, line, rows in definitions}
 
 
 def _pair_sources(args):
@@ -234,7 +237,8 @@ def _cmd_matrix(args) -> int:
 def _verify_pairs(args):
     """(label, client source, server source) of every pair to verify, as
     ``_compile`` reads them, corpus pairs first.  Each pair is handed out
-    once and then no longer held here; random pairs are drawn one at a time."""
+    once and then no longer held here; random pairs are drawn one at a time,
+    and each term is held only until its rows are written."""
     corpus = _corpus_pairs(args.corpus_dir)
     corpus.reverse()
     while corpus:
@@ -242,22 +246,22 @@ def _verify_pairs(args):
         yield f"{c[1]}‖{s[1]}", c, s
     for i, (c, s) in enumerate(iter_random_pairs(args.seed, args.random)):
         label = f"random{i}"
-        yield label, (f"{label} client", "", c), (f"{label} server", "", s)
+        yield label, (f"{label} client", "", _rows(c)), (f"{label} server", "", _rows(s))
 
 
 def _merged_pairs(args) -> tuple:
     """The labels of the pairs to verify, and the merged client and server
-    graphs with every pair's initial states.  A pair's terms are freed
-    once it is compiled, and the pairs' graphs once both sides are merged,
-    so the collector never walks what nothing will read again."""
-    labels, clients, servers = [], [], []
-    for label, client, server in _verify_pairs(args):
+    graphs with every pair's initial states.  Each side of each pair is
+    compiled straight into its side's merged rows, so no pair has a graph
+    of its own, and a pair's rows are freed once it is compiled."""
+    labels, sides = [], (_Union(), _Union())
+    for label, *pair in _verify_pairs(args):
         labels.append(label)
-        clients.append(_compile(client, args.max_states))
-        servers.append(_compile(server, args.max_states))
+        for source, union in zip(pair, sides):
+            _compile(source, args.max_states, union)
     if not labels:
         raise BccError(f"no contract pairs found under {args.corpus_dir}")
-    return (labels, *merge_graphs(clients), *merge_graphs(servers))
+    return (labels, *sides[0].graph(), *sides[1].graph())
 
 
 def _cmd_verify(args) -> int:
@@ -421,18 +425,22 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        bounds = {"--max-states": args.max_states, "--max-pairs": args.max_pairs}
+        pairs_flag = "--max-pairs" if args.max_pairs is not None else ENV_MAX_PAIRS
         if args.max_pairs is None:
             raw = os.environ.get(ENV_MAX_PAIRS, str(DEFAULT_MAX_PAIRS))
             try:
-                args.max_pairs = bounds[ENV_MAX_PAIRS] = int(raw)
+                args.max_pairs = int(raw)
             except ValueError:
                 raise BccError(f"{ENV_MAX_PAIRS} must be an integer, got {raw!r}")
-        for flag, value in bounds.items():
-            if value is not None and value < 1:
-                raise BccError(f"{flag} must be positive, got {value}")
-        if getattr(args, "random", 0) < 0:
-            raise BccError(f"--random must not be negative, got {args.random}")
+        random, seed = getattr(args, "random", 0), getattr(args, "seed", 0)
+        for flag, value, ok, rule in (
+            ("--max-states", args.max_states, args.max_states > 0, "be positive"),
+            (pairs_flag, args.max_pairs, args.max_pairs > 0, "be positive"),
+            ("--random", random, random >= 0, "not be negative"),
+            ("--seed", seed, _is_index(seed, 1 << 64), "be in [0, 2**64)"),
+        ):
+            if not ok:
+                raise BccError(f"{flag} must {rule}, got {value}")
         return args.func(args)
     except (BccError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -150,12 +150,16 @@ def random_contract(cfg: GenConfig) -> Term:
 
 def iter_random_pairs(seed: int, count: int, **cfg_kwargs):
     """(client term, server term) pairs derived from one root seed, drawn
-    one at a time: two seeds per pair, the client's first."""
+    one at a time: two seeds per pair, the client's first.  The root seed
+    follows the rule of a ``GenConfig`` seed, so a bad one, like a bad
+    config, raises ValueError at once."""
+    GenConfig(seed=seed, **cfg_kwargs)
     root = SplitMix64(seed)
-    for _ in range(count):
-        client = random_contract(GenConfig(seed=root.next_u64(), **cfg_kwargs))
-        server = random_contract(GenConfig(seed=root.next_u64(), **cfg_kwargs))
-        yield client, server
+
+    def draw():
+        return random_contract(GenConfig(seed=root.next_u64(), **cfg_kwargs))
+
+    return ((draw(), draw()) for _ in range(count))
 
 
 def random_pairs(seed: int, count: int, **cfg_kwargs) -> list:

@@ -15,32 +15,45 @@ A line is tokenized whole, by one ``findall`` of a lexeme regex built from
 the name rule, into plain strings; a bad character is the regex's catch-all
 lexeme, so it wins over any syntax error.  A token's column is worked out,
 from the same regex, only for an error message.  The line is then parsed by
-one loop, not one call per grammar rule: a stack holds the enclosing open
-"(" and "rec X." bodies, each with its rec variable, the prefixes pending on
-its item and its left operand, so parenthesis depth is bounded by memory
-alone.  ``well_formed`` walks an explicit stack too.
+one loop, not one call per grammar rule, straight into the rows that the
+compiler works on (``_TermTable``): a stack holds the enclosing open "(" and
+"rec X." bodies, each with its rec variable, where its pending prefixes
+start and its left operand, so nesting depth is bounded by memory alone.
+As it reads a variable, the loop records the definition's closedness and
+guardedness violations: a variable is bound if an open "rec" binds it, and
+unguarded if no prefix is pending between its innermost binder and it.  So
+the command line builds no ``Term`` and walks no term before compiling;
+``parse`` and ``parse_term`` build their ``Term``s from the rows, in one
+loop.  ``well_formed`` walks an explicit stack.
 
 Terms are immutable and compare structurally, so parsed and generated terms
-share what they can: one ``Label`` per action (``lts.inp`` and ``lts.out``)
-and the one ``NIL``.
+share what they can: one ``Label`` per action (``lts.inp`` and ``lts.out``),
+the one ``NIL``, and one node per distinct subterm of a parsed definition.
 
-Compilation interns terms into a table local to each call: one plain tuple
-of ints, strs and ``(kind, name)`` labels per distinct term, so each
-unfolding is hashed once, in C, and equal terms share one integer id; no
-``Term`` or ``Label`` is hashed or compared, and only the emitted rows hold
-the shared ``Label`` objects.  Substitution recurses once per nesting level,
-as interning does.  The table is one object that nothing refers back to, so
-it is freed when the call returns; walks are its methods or module-level
-functions, never closures that call themselves, which would tie a reference
-cycle.  The compiler emits each state's canonical out-edge row itself,
-sorted and deduplicated, and hands the rows to ``ContractGraph._from_rows``:
-no edge list is built, sorted or validated again.
+A compile starts from a term's rows, one plain tuple of ints, strs and
+``(kind, name)`` labels per distinct subterm, children first: the parser's
+rows of a definition, or, in ``compile_term``, the rows that ``intern``
+writes for a closed guarded ``Term``.  It adds the rows that unfolding
+makes, so each unfolding is hashed once, in C, and equal terms share one
+integer id; no ``Term`` or ``Label`` is hashed or compared, and only the
+emitted rows hold the shared ``Label`` objects.  Substitution and move
+collection recurse once per nesting level, as interning does.  The table is
+one object that nothing refers back to, so it is freed when the compile
+returns; walks are its methods or module-level functions, never closures
+that call themselves, which would tie a reference cycle.  The compiler
+emits each state's canonical out-edge row itself, sorted and deduplicated,
+as a block of a union of graphs (``lts._Union``), numbered as
+``merge_graphs`` numbers the union of their graphs: ``verify-propositions``
+compiles each side of each pair straight into that side's merged graph,
+and a graph of its own is a union of one.  No edge list is built, sorted or
+validated again.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import itemgetter
 
 from .errors import (
@@ -49,7 +62,7 @@ from .errors import (
     ParseError,
     StateExplosionError,
 )
-from .lts import TAU, ContractGraph, Label, _shared_label, discover, inp, out
+from .lts import TAU, ContractGraph, Label, _shared_label, _Union, discover, inp, out
 
 DEFAULT_MAX_STATES = 1024
 
@@ -157,32 +170,59 @@ def _end(line, tokens, pos, what) -> None:
         raise ParseError(message, line_no, _column(text, pos))
 
 
+@lru_cache(maxsize=None)
+def _label_row(prefix: str, name) -> tuple:
+    """The ``(kind, name)`` row label of "tau", or of "?" or "!" and a name:
+    one tuple per action, kept for the life of the process as ``lts.inp``
+    and ``lts.out`` keep their labels, so the rows of a parsed file share
+    them."""
+    lab = TAU if name is None else inp(name) if prefix == "?" else out(name)
+    return lab.kind, lab.name
+
+
 def _term(line, tokens, pos) -> tuple:
-    """The term starting at ``tokens[pos]`` and the position after it;
-    ``line`` is the (text, number) of the line, read only on an error."""
+    """The rows of the term starting at ``tokens[pos]``, and the position
+    after the term; ``line`` is the (text, number) of the line, read only on
+    an error.  The rows of a term are a tuple of one ``_TermTable`` row per
+    distinct subterm, in id order, so children come first, the id of the
+    term, and its closedness and guardedness violations, in the order their
+    variables are read."""
+    ids = {(_NIL,): 0}  # row -> id, in id order
+    intern = ids.setdefault
+    found = {}  # the violations, in the order their variables are read
+    binders = {}  # var -> len(prefixes) at each open "rec var.", innermost last
+    prefixes = []  # the pending prefixes of every open body, from the outside
     frames = []  # the open "(" and "rec X." bodies around the current one
-    var, prefixes, left = None, [], None
+    var, mark, left = None, 0, None  # prefixes[mark:] are the current body's
     while True:
         text = tokens[pos]
         pos += 1
         if text not in _SYMBOLS:  # "0" or a name
-            t = NIL if text == "0" else Var(text)
-            while True:  # t completes an item of the current frame
-                for label in reversed(prefixes):
-                    t = Prefix(label, t)
-                prefixes, left = [], t if left is None else Choice(left, t)
+            t = 0
+            if text != "0":
+                opened = binders.get(text)
+                if not opened:
+                    found.setdefault(Violation("unbound-variable", text))
+                elif opened[-1] == len(prefixes):  # no prefix since its binder
+                    found.setdefault(Violation("unguarded-recursion", text))
+                t = intern((_VAR, text), len(ids))
+            while True:  # t completes an item of the current body
+                while len(prefixes) > mark:
+                    t = intern((_PREFIX, prefixes.pop(), t), len(ids))
+                left = t if left is None else intern((_CHOICE, left, t), len(ids))
                 if tokens[pos] == "+":
                     pos += 1
                     break
                 if not frames:
-                    return left, pos
+                    return (tuple(ids), left, tuple(found)), pos
                 if var is not None:
-                    t = Rec(var, left)
+                    t = intern((_REC, var, left), len(ids))
+                    binders[var].pop()
                 elif tokens[pos] == ")":
                     pos, t = pos + 1, left
                 else:
                     raise _fail(line, tokens, pos, "')'")
-                var, prefixes, left = frames.pop()
+                var, mark, left = frames.pop()
             continue
         name = None
         if text in ("rec", "tau", "?", "!"):  # "rec X.", "tau.", "?a." or "!a."
@@ -195,13 +235,13 @@ def _term(line, tokens, pos) -> tuple:
                 raise _fail(line, tokens, pos, "'.'")
             pos += 1
             if text != "rec":
-                label = TAU if name is None else inp(name) if text == "?" else out(name)
-                prefixes.append(label)
+                prefixes.append(_label_row(text, name))
                 continue
+            binders.setdefault(name, []).append(len(prefixes))
         elif text != "(":
             raise _fail(line, tokens, pos - 1, "a term")
-        frames.append((var, prefixes, left))
-        var, prefixes, left = name, [], None
+        frames.append((var, mark, left))
+        var, mark, left = name, len(prefixes), None
 
 
 def _lines(text: str) -> list:
@@ -214,14 +254,15 @@ def parse_term(text: str) -> Term:
     """Parse a single term (each line end is treated as a space)."""
     line = (" ".join(_lines(text)), 1)
     tokens = _tokenize(*line)
-    t, pos = _term(line, tokens, 0)
+    (rows, root, _), pos = _term(line, tokens, 0)
     _end(line, tokens, pos, "term")
-    return t
+    return _built(rows, root)
 
 
-def parse(text: str) -> list:
-    """Parse a contract file into its definitions, in source order.  One
-    leading byte-order mark is dropped."""
+def _definitions(text: str) -> list:
+    """The name, line number and rows (see ``_term``) of each definition of
+    a contract file, in source order.  One leading byte-order mark is
+    dropped."""
     defs = []
     first_line = {}
     for line_no, raw in enumerate(_lines(text.removeprefix("\ufeff")), start=1):
@@ -234,7 +275,7 @@ def parse(text: str) -> list:
             raise _fail(line, tokens, 0, "a contract name")
         if tokens[1] != "=":
             raise _fail(line, tokens, 1, "'='")
-        term, pos = _term(line, tokens, 2)
+        rows, pos = _term(line, tokens, 2)
         _end(line, tokens, pos, "definition")
         name = tokens[0]
         if name in first_line:
@@ -245,8 +286,15 @@ def parse(text: str) -> list:
                 1,
             )
         first_line[name] = line_no
-        defs.append(ContractDef(name, term, line_no))
+        defs.append((name, line_no, rows))
     return defs
+
+
+def parse(text: str) -> list:
+    """Parse a contract file into its definitions, in source order.  One
+    leading byte-order mark is dropped."""
+    defs = _definitions(text)
+    return [ContractDef(name, _built(*rows[:2]), line) for name, line, rows in defs]
 
 
 # -- pretty-printer ------------------------------------------------------
@@ -320,13 +368,13 @@ class _TermTable:
     (always id 0), ``(_VAR, name)``, ``(_PREFIX, (kind, name), child)``,
     ``(_CHOICE, left, right)`` or ``(_REC, var, body)``: ints, strs and
     labels as ``(kind, name)`` tuples, which hash and compare in C and sort
-    as ``Label`` does."""
+    as ``Label`` does.  A child's id is below its parent's.  A compile
+    starts from the rows that the parser wrote (see ``_term``) and adds the
+    rows that unfolding makes."""
 
-    def __init__(self):
-        self.rows = [(_NIL,)]
-        self.ids = {(_NIL,): 0}
-        self.substituted = {}
-        self.moves = {}
+    def __init__(self, rows):
+        self.rows, self.ids = list(rows), dict(zip(rows, range(len(rows))))
+        self.substituted, self.moves = {}, {}
 
     def row(self, r: tuple) -> int:
         n = len(self.rows)
@@ -384,6 +432,67 @@ class _TermTable:
         return moves
 
 
+def _built(rows: tuple, root: int) -> Term:
+    """The term of row ``root`` of some rows (see ``_term``), built one row
+    at a time, children first."""
+    terms = []
+    for r in rows:
+        op = r[0]
+        if op == _PREFIX:
+            terms.append(Prefix(_shared_label(r[1]), terms[r[2]]))
+        elif op == _CHOICE:
+            terms.append(Choice(terms[r[1]], terms[r[2]]))
+        elif op == _REC:
+            terms.append(Rec(r[1], terms[r[2]]))
+        else:
+            terms.append(Var(r[1]) if op == _VAR else NIL)
+    return terms[root]
+
+
+def _rows(term: Term) -> tuple:
+    """The rows of a term, as the parser writes them (see ``_term``); the
+    term is interned only when it is closed and guarded, so a deep
+    ill-formed term gives its violations."""
+    table = _TermTable(((_NIL,),))
+    violations = tuple(well_formed(term))
+    return table.rows, 0 if violations else table.intern(term), violations
+
+
+def _add(union: _Union, term_rows: tuple, max_states: int, name: str = "") -> _Union:
+    """Compile a term from its rows (see ``_term``), as ``compile_term``
+    does, into the next block of a union, and return the union; the term's
+    terminal state is the union's success state.  An ill-formed term raises
+    IllFormedError."""
+    rows, root, violations = term_rows
+    if violations:
+        raise IllFormedError(violations)
+    transitions = _TermTable(rows).transitions
+
+    def successors(u):
+        return [v if transitions(v) else 0 for _, v in transitions(u)]
+
+    root = root if transitions(root) else 0
+    record = {}
+    if not discover(record, (root,), successors, max_states):
+        named = f" {name!r}" if name else ""
+        raise StateExplosionError(f"more than {max_states} states while compiling{named}")
+
+    # the terminal row (id 0) first, then discovery order (the sort is stable)
+    order = sorted(record, key=bool)
+    number = dict(zip(order, union.block(len(order), 0 if order[0] == 0 else None)))
+    union.initials.append(number[root])
+    for u in order:
+        moves, targets = transitions(u), record[u]
+        if len(moves) == 1:
+            union.rows.append(((_shared_label(moves[0][0]), number[targets[0]]),))
+        elif moves:  # the terminal state's row is the union's row 0
+            # ordered by label, but not by target, and two moves may both
+            # collapse onto the terminal state, as in !a.0 + !a.(0 + 0)
+            row = sorted({(lab, number[v]) for (lab, _), v in zip(moves, targets)})
+            union.rows.append(tuple([(_shared_label(lab), v) for lab, v in row]))
+    return union
+
+
 def compile_term(
     term: Term, max_states: int = DEFAULT_MAX_STATES, *, name: str = ""
 ) -> ContractGraph:
@@ -396,36 +505,4 @@ def compile_term(
     More than ``max_states`` states, the initial one included, raise
     StateExplosionError.
     """
-    violations = well_formed(term)
-    if violations:
-        raise IllFormedError(violations)
-    table = _TermTable()
-    transitions = table.transitions
-
-    def successors(u):
-        return [v if transitions(v) else 0 for _, v in transitions(u)]
-
-    root = table.intern(term)
-    root = root if transitions(root) else 0
-    record = {}
-    if not discover(record, (root,), successors, max_states):
-        raise StateExplosionError(
-            f"more than {max_states} states while compiling"
-            + (f" {name!r}" if name else "")
-        )
-
-    # the terminal row (id 0) first, then discovery order (the sort is stable)
-    order = sorted(record, key=bool)
-    number = {u: i for i, u in enumerate(order)}
-    rows = []
-    for u in order:
-        moves, targets = transitions(u), record[u]
-        if len(moves) == 1:
-            rows.append(((_shared_label(moves[0][0]), number[targets[0]]),))
-            continue
-        # ordered by label, but not by target, and two moves may both
-        # collapse onto the terminal state, as in !a.0 + !a.(0 + 0)
-        row = sorted({(lab, number[v]) for (lab, _), v in zip(moves, targets)})
-        rows.append(tuple([(_shared_label(lab), v) for lab, v in row]))
-    zero = 0 if 0 in number else None
-    return ContractGraph._from_rows(len(order), number[root], tuple(rows), zero, name)
+    return _add(_Union(), _rows(term), max_states, name).graph(name)[0]

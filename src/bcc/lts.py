@@ -390,6 +390,37 @@ class ContractGraph:
         )
 
 
+class _Union:
+    """A disjoint union of graphs sharing one success state, built one
+    block of states at a time: the rule of ``merge_graphs``, and of the
+    compiler when it writes graphs straight into a union.  A block takes the
+    next ids in order, except that its success state becomes 0, the union's
+    one success state, and the states after it move down one.  So row 0 is
+    kept for success, and a union with no success state moves every id down
+    one when its graph is taken."""
+
+    def __init__(self):
+        # state -> its out-edge row, the initial state of every block, success
+        self.rows, self.initials, self.zero = [()], [], None
+
+    def block(self, num_states: int, zero: Optional[int]) -> list:
+        """The union's ids of the states of the next block, whose rows the
+        caller appends, success's left out."""
+        ids = list(range(len(self.rows), len(self.rows) + num_states))
+        if zero is not None:
+            ids[zero:] = [0] + ids[zero:-1]
+            self.zero = 0
+        return ids
+
+    def graph(self, name: str = "") -> tuple:
+        """The union's graph and the initial state of every block."""
+        rows, initials, zero = tuple(self.rows), tuple(self.initials), self.zero
+        if zero is None:
+            rows = tuple([tuple([(lab, t - 1) for lab, t in row]) for row in rows[1:]])
+            initials = tuple([s - 1 for s in initials])
+        return ContractGraph._from_rows(len(rows), initials[0], rows, zero, name), initials
+
+
 def merge_graphs(graphs: Iterable[ContractGraph]) -> tuple:
     """Disjoint union of graphs sharing one success state.
 
@@ -399,32 +430,20 @@ def merge_graphs(graphs: Iterable[ContractGraph]) -> tuple:
 
     The union is assembled from the components' canonical out-edge rows
     without sorting or validating it again: components take increasing
-    blocks of ids, and renumbering keeps the order of every state but
-    success, which becomes 0.  So only a row of a component whose success
-    state was not 0 can fall out of order, and only such a row is sorted.
+    blocks of ids (``_Union``), and renumbering keeps the order of every
+    state but success, which becomes 0.  So only a row of a component whose
+    success state was not 0 can fall out of order, and only such a row is
+    sorted.
     """
-    graphs = tuple(graphs)
-    if not graphs:
-        raise ValueError("merge_graphs needs at least one graph")
-    any_zero = any(g.zero is not None for g in graphs)
-    base = 1 if any_zero else 0
-    rows = [()] if any_zero else []  # merged state -> its out-edge row
-    initials = []
+    union = _Union()
     for g in graphs:
-        zero = g.zero
-        ids = list(range(base, base + g.num_states))  # merged id of each state
-        if zero is not None:
-            ids[zero:] = [0] + ids[zero:-1]
-        initials.append(ids[g.initial])
+        ids = union.block(g.num_states, g.zero)
+        union.initials.append(ids[g.initial])
         for outs in g._out:
-            if not outs:  # the success state, already row 0
-                continue
-            row = [(lab, ids[t]) for lab, t in outs]
-            if zero:  # renumbered to 0, success may now precede its group
-                row.sort()
-            rows.append(tuple(row))
-        base += g.num_states - (zero is not None)
-
-    zero = 0 if any_zero else None
-    merged = ContractGraph._from_rows(base, initials[0], tuple(rows), zero)
-    return merged, tuple(initials)
+            if outs:  # the success state's row is the union's row 0
+                row = [(lab, ids[t]) for lab, t in outs]
+                # renumbered to 0, success may now precede its group
+                union.rows.append(tuple(sorted(row) if g.zero else row))
+    if not union.initials:
+        raise ValueError("merge_graphs needs at least one graph")
+    return union.graph()

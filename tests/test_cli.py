@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import gc
 import io
@@ -14,10 +15,13 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from bcc import Composition, PairState, cli, corpus, lang
+from bcc import Composition, ContractGraph, PairState, cli, corpus, lang
 from bcc.cli import main
 from bcc.composition import DEFAULT_MAX_PAIRS, to_dot
 from bcc.corpus import EXAMPLES_SOURCE
+from bcc.generator import GenConfig, random_contract, random_pairs
+from bcc.lang import DEFAULT_MAX_STATES, compile_term, parse_term, pretty
+from bcc.lts import merge_graphs
 
 
 @pytest.fixture()
@@ -154,34 +158,53 @@ def test_check_rejects_non_positive_bounds(capsys, corpus_file, flag, value):
 
 
 @pytest.mark.parametrize(
-    "client",
+    "client, reason",
     [
-        "!a." * 5000 + "0",
-        "(!a." * 2000 + "0" + ")" * 2000,
-        " + ".join(["!a.0"] * 2000),
+        ("!a." * 5000 + "0", "more than 1024 states while compiling 'p'"),
+        ("(!a." * 2000 + "0" + ")" * 2000, "more than 1024 states while compiling 'p'"),
+        (" + ".join(["!a.0"] * 2000), "input nested too deeply"),
     ],
     ids=["deep-prefix-chain", "deep-parentheses", "wide-sum"],
 )
-def test_check_too_deep_input_exits_two(capsys, tmp_path, client):
-    # the parser takes any depth; the compiler still recurses per prefix,
-    # and per summand down the left spine of a sum
+def test_check_too_deep_input_exits_two(capsys, tmp_path, client, reason):
+    # the parser takes any depth and compiles a chain without recursion, so
+    # the state bound stops a long one; collecting the moves of a sum still
+    # recurses once per summand down its left spine
     path = tmp_path / "deep.bc"
     path.write_text(f"p = {client}\nq = rec Y.?a.Y\n")
     code, _, err = run(capsys, "check", str(path), "p", str(path), "q", "--all")
     assert code == 2
-    assert err.startswith("error: ")
+    assert err.startswith("error: ") and reason in err
     assert "Traceback" not in err
+
+
+def test_check_a_long_chain_gets_a_verdict_under_raised_bounds(capsys, tmp_path):
+    path = tmp_path / "chain.bc"
+    path.write_text(f"p = {'!a.' * 5000}0\nq = rec Y.?a.Y\n")
+    argv = ["check", str(path), "p", str(path), "q", "--json"]
+    code, out, _ = run(capsys, *argv, "--max-states", "6000", "--max-pairs", "10000")
+    assert code == 0
+    (entry,) = json.loads(out)["pairs"]
+    assert entry["verdicts"] == dict.fromkeys(
+        ["pg", "mst", "shd", "beh", "io", "may"], True
+    )
 
 
 @pytest.mark.parametrize(
     "client",
-    ["!a." * 990 + "0", " + ".join(["!a.0"] * 988), "rec X." + "!a." * 988 + "X"],
-    ids=["prefix-chain", "wide-sum", "rec-loop"],
+    [
+        "rec X." * 989 + "!a.X",
+        " + ".join(["!a.0"] * 991),
+        "rec X." + "!a." * 989 + "X",
+        "!a." * 1020 + "0",
+    ],
+    ids=["nested-rec", "wide-sum", "rec-loop", "prefix-chain"],
 )
 def test_check_gets_a_verdict_just_below_the_readme_depth_limits(tmp_path, client):
-    # three below the README's limits (993, 991, 991), run through
+    # three below the README's limits (992, 994, 992), run through
     # ``sys.exit(main())`` as the installed script runs it: a change that
-    # adds frames to the compile path fails here before the README is wrong
+    # adds frames to the compile path fails here before the README is wrong;
+    # a chain has no depth limit, and the default --max-states bounds it
     path = tmp_path / "deep.bc"
     path.write_text(f"p = {client}\nq = rec Y.?a.Y\n")
     src = str(Path(__file__).resolve().parent.parent / "src")
@@ -532,37 +555,60 @@ def test_verify_propositions_keeps_padded_and_plain_numbers_apart(capsys, tmp_pa
 def test_verify_propositions_frees_terms_and_pair_graphs_before_deciding(
     capsys, corpus_dir, monkeypatch
 ):
-    # reference counting alone must free every parsed or drawn term once its
-    # pair is compiled, and every pair's graph once both sides are merged
-    refs = []
+    # reference counting alone must free the rows of every parsed definition
+    # and every drawn term (and its rows), and every compile's term table,
+    # once its pair is compiled; and each side is compiled straight into its
+    # merged graph: the only graphs ever made are the two the relations are
+    # decided on
+    rows, terms, graphs = [], [], []
 
-    def parse(text):
-        defs = lang.parse(text)
-        refs.extend(weakref.ref(d) for d in defs)
-        refs.extend(weakref.ref(d.term) for d in defs if d.term is not lang.NIL)
-        return defs
+    class Rows(list):  # rows that a weak reference can follow
+        pass
+
+    class Table(lang._TermTable):
+        def __init__(self, *args):
+            super().__init__(*args)
+            rows.append(weakref.ref(self))
+
+    def weakly_held(written):
+        held = Rows(written[0])
+        rows.append(weakref.ref(held))
+        return (held, *written[1:])
+
+    def term(*args):
+        written, pos = lang_term(*args)
+        return weakly_held(written), pos
 
     def iter_random_pairs(*args):
         for pair in cli_iter_random_pairs(*args):
-            refs.extend(weakref.ref(t) for t in pair if t is not lang.NIL)
+            terms.extend(weakref.ref(t) for t in pair if t is not lang.NIL)
             yield pair
 
-    def merge_graphs(graphs):
-        refs.extend(map(weakref.ref, graphs))
-        return cli_merge_graphs(graphs)
+    def from_rows(cls, *args):
+        graph = lts_from_rows(cls, *args)
+        graphs.append(weakref.ref(graph))
+        return graph
 
     alive = []
 
     def relation_sets(universe):
-        alive.extend(r() for r in refs if r() is not None)
+        alive.extend(r() for r in rows + terms if r() is not None)
+        composition = universe.composition
+        made = [r() for r in graphs]
+        assert len(made) == 2
+        assert made[0] is composition.client and made[1] is composition.server
         return cli_relation_sets(universe)
 
+    lang_term = lang._term
+    cli_rows = cli._rows
     cli_iter_random_pairs = cli.iter_random_pairs
-    cli_merge_graphs = cli.merge_graphs
+    lts_from_rows = ContractGraph._from_rows.__func__
     cli_relation_sets = cli.relation_sets
-    monkeypatch.setattr(cli, "parse", parse)
+    monkeypatch.setattr(lang, "_term", term)
+    monkeypatch.setattr(lang, "_TermTable", Table)
+    monkeypatch.setattr(cli, "_rows", lambda t: weakly_held(cli_rows(t)))
     monkeypatch.setattr(cli, "iter_random_pairs", iter_random_pairs)
-    monkeypatch.setattr(cli, "merge_graphs", merge_graphs)
+    monkeypatch.setattr(ContractGraph, "_from_rows", classmethod(from_rows))
     monkeypatch.setattr(cli, "relation_sets", relation_sets)
     gc.disable()
     try:
@@ -570,7 +616,8 @@ def test_verify_propositions_frees_terms_and_pair_graphs_before_deciding(
     finally:
         gc.enable()
     assert code == 0
-    assert len(refs) > 2 * (8 + 40)  # defs, terms and graphs of 4 + 20 pairs
+    # the rows and the table of each side of 4 corpus and 20 drawn pairs
+    assert len(rows) == 2 * (8 + 40) + 40 and len(terms) > 30
     assert alive == []
 
 
@@ -582,6 +629,90 @@ def test_verify_propositions_rejects_a_negative_random_count(capsys, corpus_dir)
         capsys, "verify-propositions", corpus_dir, "--random", "0", "--json"
     )
     assert code == 0 and json.loads(out)["inputs"]["random"] == 0
+
+
+@pytest.mark.parametrize("seed", ["-5", str(2**64), str(2**64 + 3)])
+def test_verify_propositions_rejects_a_seed_out_of_range(capsys, corpus_dir, seed):
+    # SplitMix64 keeps a seed's low 64 bits, so these would draw the pairs of
+    # another seed while the report echoed this one
+    code, out, err = run(capsys, "verify-propositions", corpus_dir, "--seed", seed)
+    assert code == 2 and out == ""
+    assert err == f"error: --seed must be in [0, 2**64), got {seed}\n"
+
+
+def test_verify_propositions_takes_the_largest_seed(capsys, corpus_dir):
+    argv = ["verify-propositions", corpus_dir, "--random", "3", "--json"]
+    code, out, _ = run(capsys, *argv, "--seed", str(2**64 - 1))
+    assert code == 0 and json.loads(out)["inputs"]["seed"] == 2**64 - 1
+
+
+# -- the front end against the library path ------------------------------------
+
+
+def cli_merged(pairs, random=0, seed=0):
+    """The CLI's merged client and server graphs, with their rows and
+    initial states, of the pairs written to a contract file (and of
+    ``random`` pairs drawn from ``seed`` after them)."""
+    with tempfile.TemporaryDirectory() as directory:
+        lines = [f"{side}{i} = {text}" for i, pair in enumerate(pairs, start=1)
+                 for side, text in zip("pq", pair)]
+        Path(directory, "pairs.bc").write_text("".join(f"{x}\n" for x in lines))
+        args = argparse.Namespace(
+            corpus_dir=directory, random=random, seed=seed, max_states=DEFAULT_MAX_STATES
+        )
+        _, client, client_initials, server, server_initials = cli._merged_pairs(args)
+    return (client, client._out, client_initials), (server, server._out, server_initials)
+
+
+def library_merged(pairs):
+    """What ``merge_graphs`` makes of the compiled terms of each side."""
+    sides = []
+    for terms in zip(*pairs):
+        graph, initials = merge_graphs([compile_term(t) for t in terms])
+        sides.append((graph, graph._out, initials))
+    return tuple(sides)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_merged_graphs_of_a_file_equal_merge_graphs(seed):
+    drawn = random_pairs(seed, 300)
+    texts = [(pretty(c), pretty(s)) for c, s in drawn]
+    assert cli_merged(texts) == library_merged(drawn)
+
+
+def test_merged_graphs_of_drawn_pairs_equal_merge_graphs():
+    assert cli_merged([], random=300, seed=5) == library_merged(random_pairs(5, 300))
+
+
+@pytest.mark.parametrize(
+    "texts",
+    [
+        [("rec X.!a.X", "rec Y.?a.Y"), ("rec X.tau.X", "rec Y.(?a.Y + ?b.Y)")],
+        [("rec X.!a.X", "0 + 0"), ("0 + 0", "rec Y.?a.Y"), ("tau.(0 + 0)", "?a.0")],
+        [("0 + 0", "0"), ("!a.0 + !a.(0 + 0)", "tau.(0 + 0) + tau.0")],
+    ],
+    ids=["no-success-on-either-side", "success-after-a-block-without", "collapse"],
+)
+def test_merged_graphs_of_special_sides_equal_merge_graphs(texts):
+    terms = [tuple(map(parse_term, pair)) for pair in texts]
+    assert cli_merged(texts) == library_merged(terms)
+
+
+seeds = st.integers(0, 2**64 - 1)
+configs = st.fixed_dictionaries(
+    {"max_depth": st.integers(0, 7), "rec_probability": st.sampled_from([0.0, 0.2, 0.5])}
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(seeds, seeds, configs), min_size=1, max_size=8))
+def test_merged_graphs_of_drawn_lists_equal_merge_graphs(draws):
+    drawn = [
+        tuple(random_contract(GenConfig(seed=s, **cfg)) for s in (c, q))
+        for c, q, cfg in draws
+    ]
+    texts = [(pretty(c), pretty(s)) for c, s in drawn]
+    assert cli_merged(texts) == library_merged(drawn)
 
 
 # -- dot -------------------------------------------------------------------------

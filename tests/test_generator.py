@@ -156,6 +156,15 @@ def test_iter_random_pairs_is_lazy_and_equals_the_list():
     assert list(pairs) == random_pairs(2024, 6, max_depth=4)
 
 
+@pytest.mark.parametrize("seed", [-5, 2**64, True, 1.0])
+def test_iter_random_pairs_rejects_a_bad_root_seed_at_once(seed):
+    # SplitMix64 would keep the low 64 bits: -5 would draw what 2**64 - 5 draws
+    with pytest.raises(ValueError, match=r"seed must be a plain int in \[0, 2\*\*64\)"):
+        iter_random_pairs(seed, 1)
+    with pytest.raises(ValueError):
+        random_pairs(seed, 0)
+
+
 def test_draws_leave_no_cyclic_garbage():
     # a draw's state is freed by reference counting when it returns
     configs = [

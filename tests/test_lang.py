@@ -1,4 +1,8 @@
+import contextlib
 import gc
+import io
+import tempfile
+from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
@@ -17,9 +21,11 @@ from bcc import (
     ContractGraph,
     Var,
     Violation,
+    cli,
     compile_term,
     corpus,
     inp,
+    lang,
     out,
     parse,
     parse_term,
@@ -359,6 +365,54 @@ def test_well_formed_takes_any_depth():
         t = Prefix(out("a"), t)
     assert well_formed(t) == [Violation("unbound-variable", "X")]
     assert chain_depth(t) == (5000, Var("X"))
+
+
+# -- the parser's violations against well_formed --------------------------------
+
+
+def parser_violations(text):
+    """The violations the parse loop records while it reads ``p = text``."""
+    ((name, line, (rows, root, violations)),) = lang._definitions(f"p = {text}")
+    return list(violations)
+
+
+@settings(max_examples=200)
+@given(st.one_of(terms.map(pretty), terms.map(lambda t: f"(({pretty(t)}))")))
+def test_parser_violations_equal_well_formed(text):
+    assert parser_violations(text) == well_formed(parse_term(text))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "X + Y + X",  # unbound, each once, in reading order
+        "rec X.(X + !a.X + Y)",
+        "rec X.!a.rec X.X",  # the inner binder shadows the guarded outer one
+        "rec X.rec X.!a.X",  # well-formed
+        "rec X.(!a.0 + rec Y.(X + Y)) + X",  # X unbound once its rec is closed
+        "!a.rec X.X",  # a prefix before the binder guards nothing
+        "rec X.(!a.(X + rec Y.Y) + (X))",
+        "(" * 3000 + "rec X.(X + Z)" + ")" * 3000,
+        "rec X." + "!a.(" * 3000 + "X + rec Y.(Y + Z)" + ")" * 3000,
+    ],
+    ids=["unbound", "mixed", "shadowed-inner", "shadowed-outer", "closed-rec",
+         "prefix-before-binder", "parenthesised", "deep-parentheses", "deep-chain"],
+)
+def test_parser_violations_equal_well_formed_on_tricky_shapes(text):
+    assert parser_violations(text) == well_formed(parse_term(text))
+
+
+@settings(max_examples=100, deadline=None)
+@given(terms.filter(lambda t: well_formed(t) != []))
+def test_cli_reports_the_violations_of_well_formed(term):
+    expected = "; ".join(map(str, well_formed(term)))
+    with tempfile.TemporaryDirectory() as directory:
+        path = str(Path(directory, "ill.bc"))
+        Path(path).write_text(f"q = ?a.0\np = {pretty(term)}\n")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert cli.main(["check", path, "p", path, "q"]) == 2
+    assert err.getvalue() == f"error: {path}:2: contract 'p': {expected}\n"
 
 
 # -- the compiler against the reference compiler ------------------------------

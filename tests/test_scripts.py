@@ -31,6 +31,7 @@ def test_relation_survey_runs():
         (["--alphabet", "a,tau"], "alphabet entry 'tau' is not an action name"),
         (["--max-depth", "-1"], "max_depth must be non-negative"),
         (["--max-depth", "1500"], "max_depth must be at most 200"),
+        (["--seed", "-1"], "seed must be a plain int in [0, 2**64), got -1"),
     ],
     ids=[
         "count-zero",
@@ -39,6 +40,7 @@ def test_relation_survey_runs():
         "reserved-name",
         "depth",
         "depth-too-large",
+        "seed-negative",
     ],
 )
 def test_relation_survey_rejects_bad_options(args, message):
@@ -76,7 +78,7 @@ def test_merge_probe_prints_compile_and_merge_times():
     )
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
-    drawn_line, file_line, parse_line, compile_line, merge_line = lines
+    drawn_line, file_line, parse_line, compile_line, merge_line, cli_line = lines
     assert drawn_line.startswith("collections, verify --random 2000:")
     assert file_line.startswith("collections, verify of a 2000-pair file:")
     for line in (drawn_line, file_line):
@@ -84,6 +86,7 @@ def test_merge_probe_prints_compile_and_merge_times():
     assert parse_line.startswith("parse 2000-pair file:")
     assert compile_line.startswith("compile 4000 terms:")
     assert merge_line.startswith("merge both sides:")
+    assert cli_line.startswith("cli front end:")
     assert all(float(line.split()[-2]) > 0 for line in lines[2:])
 
 
