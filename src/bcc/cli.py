@@ -7,6 +7,10 @@ Subcommands:
   dot                  export a composition universe as graphviz
 
 Exit codes: 0 everything holds, 1 some check fails, 2 error.
+
+Only verify-propositions draws terms and decides fixed points, so it alone
+imports ``generator``, ``terms``, ``fixpoint`` and ``propositions``, in the
+functions that use them: the other commands never load those modules.
 """
 
 from __future__ import annotations
@@ -24,11 +28,8 @@ from pathlib import Path
 from . import __version__
 from .composition import DEFAULT_MAX_PAIRS, Composition, PairState, PairUniverse, to_dot
 from .errors import BccError, IllFormedError, ParseError, StateExplosionError
-from .fixpoint import classify
-from .generator import iter_random_pairs
-from .lang import DEFAULT_MAX_STATES, _add, _definitions, _rows
+from .lang import DEFAULT_MAX_STATES, _add, _definitions
 from .lts import _is_index, _Union
-from .propositions import relation_sets, verify_universe
 from .relations import ALL_RELATIONS, RelationKind, evaluate
 
 TOOL = f"bcc {__version__}"
@@ -239,6 +240,9 @@ def _verify_pairs(args):
     ``_compile`` reads them, corpus pairs first.  Each pair is handed out
     once and then no longer held here; random pairs are drawn one at a time,
     and each term is held only until its rows are written."""
+    from .generator import iter_random_pairs
+    from .terms import _rows
+
     corpus = _corpus_pairs(args.corpus_dir)
     corpus.reverse()
     while corpus:
@@ -265,6 +269,9 @@ def _merged_pairs(args) -> tuple:
 
 
 def _cmd_verify(args) -> int:
+    from .fixpoint import classify
+    from .propositions import relation_sets, verify_universe
+
     start = time.perf_counter()
     labels, merged_client, client_initials, merged_server, server_initials = (
         _merged_pairs(args)

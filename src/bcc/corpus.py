@@ -1,7 +1,7 @@
 """Bundled example corpus: four client/server pairs that separate the six
 compliance relations (every pair of relations disagrees somewhere on it)."""
 
-from .lang import compile_term, parse
+from .terms import compile_term, parse
 
 EXAMPLES_SOURCE = """\
 # Standard example corpus.  Pairing convention: client pN runs against

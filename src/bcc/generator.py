@@ -13,8 +13,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .lang import _NAME_RE, _RESERVED, NIL, Choice, Prefix, Rec, Term, Var
+from .lang import _NAME_RE, _RESERVED
 from .lts import TAU, _is_index, inp, out
+from .terms import NIL, Choice, Prefix, Rec, Term, Var
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15

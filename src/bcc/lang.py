@@ -1,4 +1,12 @@
-"""Textual contract language: parsing, well-formedness, compilation.
+"""Textual contract language: from contract text to rows to graphs.
+
+This module owns the pipeline that every command runs: the tokenizer, the
+parser, which writes rows and no ``Term``, the closedness and guardedness
+``Violation``s it finds, and the compiler (``_TermTable`` and ``_add``).
+The ``Term`` tree and what reads or builds it (``parse``, ``parse_term``,
+``pretty``, ``well_formed``, ``compile_term``) live in ``terms``, which
+``check``, ``matrix`` and ``dot`` never import; every one of those names
+is still importable from here.
 
 Grammar (one definition per line, '#' starts a comment):
 
@@ -22,27 +30,21 @@ start and its left operand, so nesting depth is bounded by memory alone.
 As it reads a variable, the loop records the definition's closedness and
 guardedness violations: a variable is bound if an open "rec" binds it, and
 unguarded if no prefix is pending between its innermost binder and it.  So
-the command line builds no ``Term`` and walks no term before compiling;
-``parse`` and ``parse_term`` build their ``Term``s from the rows, in one
-loop.  ``well_formed`` walks an explicit stack.
-
-Terms are immutable and compare structurally, so parsed and generated terms
-share what they can: one ``Label`` per action (``lts.inp`` and ``lts.out``),
-the one ``NIL``, and one node per distinct subterm of a parsed definition.
+the command line builds no ``Term`` and walks no term before compiling.
 
 A compile starts from a term's rows, one plain tuple of ints, strs and
 ``(kind, name)`` labels per distinct subterm, children first: the parser's
-rows of a definition, or, in ``compile_term``, the rows that ``intern``
-writes for a closed guarded ``Term``.  It adds the rows that unfolding
-makes, so each unfolding is hashed once, in C, and equal terms share one
-integer id; no ``Term`` or ``Label`` is hashed or compared, and only the
-emitted rows hold the shared ``Label`` objects.  Substitution and move
-collection recurse once per nesting level, as interning does.  The table is
-one object that nothing refers back to, so it is freed when the compile
-returns; walks are its methods or module-level functions, never closures
-that call themselves, which would tie a reference cycle.  The compiler
-emits each state's canonical out-edge row itself, sorted and deduplicated,
-as a block of a union of graphs (``lts._Union``), numbered as
+rows of a definition, or, in ``terms.compile_term``, the rows that
+``terms._intern`` writes for a closed guarded ``Term``.  It adds the rows
+that unfolding makes, so each unfolding is hashed once, in C, and equal
+terms share one integer id; no ``Term`` or ``Label`` is hashed or compared,
+and only the emitted rows hold the shared ``Label`` objects.  Substitution
+and move collection recurse once per nesting level, as interning does.  The
+table is one object that nothing refers back to, so it is freed when the
+compile returns; walks are its methods or module-level functions, never
+closures that call themselves, which would tie a reference cycle.  The
+compiler emits each state's canonical out-edge row itself, sorted and
+deduplicated, as a block of a union of graphs (``lts._Union``), numbered as
 ``merge_graphs`` numbers the union of their graphs: ``verify-propositions``
 compiles each side of each pair straight into that side's merged graph,
 and a graph of its own is a union of one.  No edge list is built, sorted or
@@ -62,49 +64,12 @@ from .errors import (
     ParseError,
     StateExplosionError,
 )
-from .lts import TAU, ContractGraph, Label, _shared_label, _Union, discover, inp, out
+from .lts import TAU, _shared_label, _Union, discover, inp, out
 
 DEFAULT_MAX_STATES = 1024
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 _RESERVED = ("tau", "rec")
-
-
-class Term:
-    """Abstract contract syntax."""
-
-    __slots__ = ()
-
-
-@dataclass(frozen=True)
-class Nil(Term):
-    pass
-
-
-NIL = Nil()  # the one the parser and the generator build terms with
-
-
-@dataclass(frozen=True)
-class Prefix(Term):
-    label: Label
-    body: Term
-
-
-@dataclass(frozen=True)
-class Choice(Term):
-    left: Term
-    right: Term
-
-
-@dataclass(frozen=True)
-class Rec(Term):
-    var: str
-    body: Term
-
-
-@dataclass(frozen=True)
-class Var(Term):
-    name: str
 
 
 @dataclass(frozen=True)
@@ -114,13 +79,6 @@ class Violation:
 
     def __str__(self) -> str:
         return f"{self.kind}: {self.var}"
-
-
-@dataclass(frozen=True)
-class ContractDef:
-    name: str
-    term: Term
-    line: int = 0
 
 
 # -- tokenizer -----------------------------------------------------------
@@ -250,15 +208,6 @@ def _lines(text: str) -> list:
     return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
 
 
-def parse_term(text: str) -> Term:
-    """Parse a single term (each line end is treated as a space)."""
-    line = (" ".join(_lines(text)), 1)
-    tokens = _tokenize(*line)
-    (rows, root, _), pos = _term(line, tokens, 0)
-    _end(line, tokens, pos, "term")
-    return _built(rows, root)
-
-
 def _definitions(text: str) -> list:
     """The name, line number and rows (see ``_term``) of each definition of
     a contract file, in source order.  One leading byte-order mark is
@@ -290,71 +239,6 @@ def _definitions(text: str) -> list:
     return defs
 
 
-def parse(text: str) -> list:
-    """Parse a contract file into its definitions, in source order.  One
-    leading byte-order mark is dropped."""
-    defs = _definitions(text)
-    return [ContractDef(name, _built(*rows[:2]), line) for name, line, rows in defs]
-
-
-# -- pretty-printer ------------------------------------------------------
-
-
-def _pp(t: Term) -> tuple:
-    """Render a term; the flag marks text ending in an open rec body,
-    which would swallow a following '+' on re-parse."""
-    if isinstance(t, Nil):
-        return "0", False
-    if isinstance(t, Var):
-        return t.name, False
-    if isinstance(t, Rec):
-        body, _ = _pp(t.body)
-        return f"rec {t.var}.{body}", True
-    if isinstance(t, Prefix):
-        body, open_rec = _pp(t.body)
-        if isinstance(t.body, Choice):
-            body, open_rec = f"({body})", False
-        return f"{t.label}.{body}", open_rec
-    if isinstance(t, Choice):
-        left, left_open = _pp(t.left)
-        if left_open:
-            left = f"({left})"
-        right, right_open = _pp(t.right)
-        if isinstance(t.right, Choice):
-            right, right_open = f"({right})", False
-        return f"{left} + {right}", right_open
-    raise TypeError(f"not a term: {t!r}")
-
-
-def pretty(t: Term) -> str:
-    """Concrete syntax for a term; parse(pretty(t)) == t."""
-    return _pp(t)[0]
-
-
-# -- well-formedness -----------------------------------------------------
-
-
-def well_formed(t: Term) -> list:
-    """Closedness and guardedness violations, in discovery order (empty = ok)."""
-    found = {}
-    stack = [(t, frozenset(), frozenset())]
-    while stack:
-        t, bound, unguarded = stack.pop()
-        if isinstance(t, Var):
-            if t.name not in bound:
-                found.setdefault(Violation("unbound-variable", t.name))
-            elif t.name in unguarded:
-                found.setdefault(Violation("unguarded-recursion", t.name))
-        elif isinstance(t, Prefix):
-            stack.append((t.body, bound, frozenset()))
-        elif isinstance(t, Choice):
-            stack.append((t.right, bound, unguarded))  # so the left is seen first
-            stack.append((t.left, bound, unguarded))
-        elif isinstance(t, Rec):
-            stack.append((t.body, bound | {t.var}, unguarded | {t.var}))
-    return list(found)
-
-
 # -- compilation ---------------------------------------------------------
 
 
@@ -382,16 +266,6 @@ class _TermTable:
         if u == n:
             self.rows.append(r)
         return u
-
-    def intern(self, t: Term) -> int:
-        if isinstance(t, Prefix):
-            lab = t.label
-            return self.row((_PREFIX, (lab.kind, lab.name), self.intern(t.body)))
-        if isinstance(t, Choice):
-            return self.row((_CHOICE, self.intern(t.left), self.intern(t.right)))
-        if isinstance(t, Rec):
-            return self.row((_REC, t.var, self.intern(t.body)))
-        return 0 if isinstance(t, Nil) else self.row((_VAR, t.name))
 
     def subst(self, u: int, rec: int, var: str) -> int:
         """Row u with ``var``, bound by Rec row ``rec``, replaced by it."""
@@ -432,34 +306,8 @@ class _TermTable:
         return moves
 
 
-def _built(rows: tuple, root: int) -> Term:
-    """The term of row ``root`` of some rows (see ``_term``), built one row
-    at a time, children first."""
-    terms = []
-    for r in rows:
-        op = r[0]
-        if op == _PREFIX:
-            terms.append(Prefix(_shared_label(r[1]), terms[r[2]]))
-        elif op == _CHOICE:
-            terms.append(Choice(terms[r[1]], terms[r[2]]))
-        elif op == _REC:
-            terms.append(Rec(r[1], terms[r[2]]))
-        else:
-            terms.append(Var(r[1]) if op == _VAR else NIL)
-    return terms[root]
-
-
-def _rows(term: Term) -> tuple:
-    """The rows of a term, as the parser writes them (see ``_term``); the
-    term is interned only when it is closed and guarded, so a deep
-    ill-formed term gives its violations."""
-    table = _TermTable(((_NIL,),))
-    violations = tuple(well_formed(term))
-    return table.rows, 0 if violations else table.intern(term), violations
-
-
 def _add(union: _Union, term_rows: tuple, max_states: int, name: str = "") -> _Union:
-    """Compile a term from its rows (see ``_term``), as ``compile_term``
+    """Compile a term from its rows (see ``_term``), as ``terms.compile_term``
     does, into the next block of a union, and return the union; the term's
     terminal state is the union's success state.  An ill-formed term raises
     IllFormedError."""
@@ -493,16 +341,18 @@ def _add(union: _Union, term_rows: tuple, max_states: int, name: str = "") -> _U
     return union
 
 
-def compile_term(
-    term: Term, max_states: int = DEFAULT_MAX_STATES, *, name: str = ""
-) -> ContractGraph:
-    """Compile a closed guarded term to its transition graph.
+# the Term tree lives in ``terms``, which the command line's check, matrix
+# and dot never load; its names stay importable from here, and pickles of
+# terms written when it lived here still load
+_IN_TERMS = frozenset(
+    "Term Nil NIL Prefix Choice Rec Var ContractDef parse parse_term pretty "
+    "well_formed compile_term _built _rows".split()
+)
 
-    States are the reachable one-step unfoldings of the term, hash-consed,
-    numbered in BFS discovery order; the terminal state (when reachable)
-    always receives id 0.  Transition-free terms (0 itself, but also e.g.
-    0 + 0) all collapse onto the terminal state, keeping it the unique sink.
-    More than ``max_states`` states, the initial one included, raise
-    StateExplosionError.
-    """
-    return _add(_Union(), _rows(term), max_states, name).graph(name)[0]
+
+def __getattr__(name: str):
+    if name in _IN_TERMS:
+        from . import terms
+
+        return getattr(terms, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

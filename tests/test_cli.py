@@ -15,7 +15,9 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from bcc import Composition, ContractGraph, PairState, cli, corpus, lang
+from bcc import Composition, ContractGraph, PairState, cli, corpus, generator, lang
+from bcc import propositions
+from bcc import terms as bcc_terms
 from bcc.cli import main
 from bcc.composition import DEFAULT_MAX_PAIRS, to_dot
 from bcc.corpus import EXAMPLES_SOURCE
@@ -580,7 +582,7 @@ def test_verify_propositions_frees_terms_and_pair_graphs_before_deciding(
         return weakly_held(written), pos
 
     def iter_random_pairs(*args):
-        for pair in cli_iter_random_pairs(*args):
+        for pair in generator_iter_random_pairs(*args):
             terms.extend(weakref.ref(t) for t in pair if t is not lang.NIL)
             yield pair
 
@@ -597,19 +599,19 @@ def test_verify_propositions_frees_terms_and_pair_graphs_before_deciding(
         made = [r() for r in graphs]
         assert len(made) == 2
         assert made[0] is composition.client and made[1] is composition.server
-        return cli_relation_sets(universe)
+        return propositions_relation_sets(universe)
 
     lang_term = lang._term
-    cli_rows = cli._rows
-    cli_iter_random_pairs = cli.iter_random_pairs
+    terms_rows = bcc_terms._rows
+    generator_iter_random_pairs = generator.iter_random_pairs
     lts_from_rows = ContractGraph._from_rows.__func__
-    cli_relation_sets = cli.relation_sets
+    propositions_relation_sets = propositions.relation_sets
     monkeypatch.setattr(lang, "_term", term)
     monkeypatch.setattr(lang, "_TermTable", Table)
-    monkeypatch.setattr(cli, "_rows", lambda t: weakly_held(cli_rows(t)))
-    monkeypatch.setattr(cli, "iter_random_pairs", iter_random_pairs)
+    monkeypatch.setattr(bcc_terms, "_rows", lambda t: weakly_held(terms_rows(t)))
+    monkeypatch.setattr(generator, "iter_random_pairs", iter_random_pairs)
     monkeypatch.setattr(ContractGraph, "_from_rows", classmethod(from_rows))
-    monkeypatch.setattr(cli, "relation_sets", relation_sets)
+    monkeypatch.setattr(propositions, "relation_sets", relation_sets)
     gc.disable()
     try:
         code, _, _ = run(capsys, "verify-propositions", corpus_dir, "--random", "20")

@@ -90,6 +90,26 @@ def test_merge_probe_prints_compile_and_merge_times():
     assert all(float(line.split()[-2]) > 0 for line in lines[2:])
 
 
+def test_import_probe_prints_import_times_and_modules_by_command():
+    done = subprocess.run(
+        [sys.executable, str(SCRIPTS / "import_probe.py")],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    title, header, uncached, cached, *commands = done.stdout.splitlines()
+    assert title == "import bcc.cli, 5 fresh interpreters each"
+    assert header.split() == ["caches", "median", "ms", "q1", "ms", "q3", "ms"]
+    for line, caches in ((uncached, "none"), (cached, "written")):
+        name, *ms = line.split()
+        assert name == caches and all(float(x) > 0 for x in ms)
+    loaded = dict(line.split(": ") for line in commands)
+    assert list(loaded) == ["check", "matrix", "dot", "verify-propositions"]
+    assert "bcc.terms" not in loaded["check"]
+    assert "bcc.terms" in loaded["verify-propositions"].split()
+
+
 def test_code_lines_counts_only_code(tmp_path):
     source = tmp_path / "sample.py"
     source.write_text(
