@@ -18,9 +18,10 @@ of each pair straight into that side's merged graph
 no options, and exits 1 unless the parse equals
 ``tests/oracles.reference_parse`` on the same text, each compiled graph
 equals its rebuild through the validating ``ContractGraph`` constructor,
-and the merged graphs of both paths equal the graph built from scratch on
-the renumbered union of the compiled graphs' edges
-(``tests/oracles.union_brute``).
+the merged graphs of both paths equal the graph built from scratch on the
+renumbered union of the compiled graphs' edges
+(``tests/oracles.union_brute``), and every row of those merged graphs holds
+``(label code, target)`` pairs of plain ints only.
 """
 
 import argparse
@@ -97,6 +98,15 @@ def print_collections(text: str) -> None:
             print(f"collections, verify {name}: " + " ".join(map(str, counts)))
 
 
+def rows_of_ints(graph) -> bool:
+    """True iff every edge of every row of ``graph`` is a pair of ints."""
+    return all(
+        type(edge) is tuple and len(edge) == 2 and all(type(x) is int for x in edge)
+        for row in graph._out
+        for edge in row
+    )
+
+
 def main() -> int:
     text = pairs_text()
     print_collections(text)  # first, so the probe's own graphs are not on the heap
@@ -131,6 +141,10 @@ def main() -> int:
             if (graph, graph._out, initials) != (union, union._out, union_initials):
                 print(f"error: the {path}'s merged {name} graph differs from "
                       "its union", file=sys.stderr)
+                wrong = True
+            if not rows_of_ints(graph):
+                print(f"error: a row of the {path}'s merged {name} graph holds "
+                      "a non-int", file=sys.stderr)
                 wrong = True
     return 1 if wrong else 0
 

@@ -170,6 +170,14 @@ def _cmd_check(args) -> int:
 # -- matrix ---------------------------------------------------------------
 
 
+def _number_order(n: str) -> tuple:
+    """The sort key of a digit string ``n`` that orders as ``(int(n), n)``
+    does, with no int conversion, which refuses strings of more than 4300
+    digits: a longer number without its leading zeros is larger."""
+    s = n.lstrip("0")
+    return len(s), s, n
+
+
 def _corpus_pairs(corpus_dir: str) -> list:
     """The (pN, qN) pairs of the .bc files in a directory, keyed on the digit
     string N and ordered by (int(N), N), each side a ``_compile`` source.
@@ -202,7 +210,7 @@ def _corpus_pairs(corpus_dir: str) -> list:
         print(f"note: {origin[name]}: contract {name!r} {note}", file=sys.stderr)
     return [
         (defs["p" + n], defs["q" + n])
-        for n in sorted(numbers, key=lambda n: (int(n), n))
+        for n in sorted(numbers, key=_number_order)
     ]
 
 

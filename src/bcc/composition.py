@@ -11,7 +11,11 @@ its tables work on codes; ``PairState`` objects are built only at the public
 edges: ``tau_successors``, ``compose_step``, the ``pairs`` view (decoded on
 first read), witnesses, reports and DOT.  The public entry points reject a
 component out of range or not an int before coding, so no pair aliases
-another; the BFS then reads the graphs' edge tables directly.
+another; the BFS then reads the graphs' edge tables directly.  Those rows
+hold int label codes (see ``lts``): tau is 0, and a visible action meets
+its dual in the code that differs from its own in the last bit, so the sync
+rule compares ints and reads no ``Label``.  ``compose_step`` and DOT read
+labels through ``ContractGraph.out_edges``.
 """
 
 from __future__ import annotations
@@ -86,12 +90,12 @@ class Composition:
             targets.add(code - s + t)
         server_row = server_out[s]
         for lab, c2 in client_out[c]:
-            if lab is not TAU:
-                # a visible action meets its dual; every graph holds one
-                # shared label per action, so the dual is that very object
-                dual = lab.dual()
+            if lab:
+                # a visible action meets its dual: rows hold label codes,
+                # and the dual of a visible code differs in its last bit
+                dual = lab ^ 1
                 for slab, s2 in server_row:
-                    if slab is dual:
+                    if slab == dual:
                         targets.add(c2 * n + s2)
         return tuple(sorted(targets))
 

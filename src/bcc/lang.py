@@ -38,17 +38,18 @@ rows of a definition, or, in ``terms.compile_term``, the rows that
 ``terms._intern`` writes for a closed guarded ``Term``.  It adds the rows
 that unfolding makes, so each unfolding is hashed once, in C, and equal
 terms share one integer id; no ``Term`` or ``Label`` is hashed or compared,
-and only the emitted rows hold the shared ``Label`` objects.  Substitution
-and move collection recurse once per nesting level, as interning does.  The
-table is one object that nothing refers back to, so it is freed when the
-compile returns; walks are its methods or module-level functions, never
-closures that call themselves, which would tie a reference cycle.  The
-compiler emits each state's canonical out-edge row itself, sorted and
-deduplicated, as a block of a union of graphs (``lts._Union``), numbered as
-``merge_graphs`` numbers the union of their graphs: ``verify-propositions``
-compiles each side of each pair straight into that side's merged graph,
-and a graph of its own is a union of one.  No edge list is built, sorted or
-validated again.
+and the emitted rows hold int label codes (``lts._label_code``), no
+``Label``.  Substitution and move collection recurse once per nesting
+level, as interning does.  The table is one object that nothing refers
+back to, so it is freed when the compile returns; walks are its methods or
+module-level functions, never closures that call themselves, which would
+tie a reference cycle.  The compiler's one BFS numbers each state when it
+discovers it and emits the state's canonical out-edge row, sorted and
+deduplicated, when it expands it, as a block of a union of graphs
+(``lts._Union``), numbered as ``merge_graphs`` numbers the union of their
+graphs: ``verify-propositions`` compiles each side of each pair straight
+into that side's merged graph, and a graph of its own is a union of one.
+No edge list is built, sorted or validated again.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ from .errors import (
     ParseError,
     StateExplosionError,
 )
-from .lts import TAU, _shared_label, _Union, discover, inp, out
+from .lts import TAU, _label_code, _Union, inp, out
 
 DEFAULT_MAX_STATES = 1024
 
@@ -254,17 +255,22 @@ class _TermTable:
     labels as ``(kind, name)`` tuples, which hash and compare in C and sort
     as ``Label`` does.  A child's id is below its parent's.  A compile
     starts from the rows that the parser wrote (see ``_term``) and adds the
-    rows that unfolding makes."""
+    rows that unfolding makes.  In a compile only ``subst`` adds rows, so
+    the row -> id dict is built on the first ``row`` call, and a term
+    without ``rec`` never builds it."""
 
     def __init__(self, rows):
-        self.rows, self.ids = list(rows), dict(zip(rows, range(len(rows))))
+        self.rows, self.ids = list(rows), None
         self.substituted, self.moves = {}, {}
 
     def row(self, r: tuple) -> int:
-        n = len(self.rows)
-        u = self.ids.setdefault(r, n)
+        rows, ids = self.rows, self.ids
+        if ids is None:
+            ids = self.ids = dict(zip(rows, range(len(rows))))
+        n = len(rows)
+        u = ids.setdefault(r, n)
         if u == n:
-            self.rows.append(r)
+            rows.append(r)
         return u
 
     def subst(self, u: int, rec: int, var: str) -> int:
@@ -310,34 +316,52 @@ def _add(union: _Union, term_rows: tuple, max_states: int, name: str = "") -> _U
     """Compile a term from its rows (see ``_term``), as ``terms.compile_term``
     does, into the next block of a union, and return the union; the term's
     terminal state is the union's success state.  An ill-formed term raises
-    IllFormedError."""
+    IllFormedError.
+
+    One BFS numbers and emits the states: a non-terminal state gets the
+    next union id when it is discovered, so ids follow discovery order, and
+    its row is appended when it is expanded; every transition-free term is
+    the terminal state, id 0.  More than ``max_states`` states, the terminal
+    one included, raise StateExplosionError and leave the union as it was."""
     rows, root, violations = term_rows
     if violations:
         raise IllFormedError(violations)
     transitions = _TermTable(rows).transitions
-
-    def successors(u):
-        return [v if transitions(v) else 0 for _, v in transitions(u)]
-
-    root = root if transitions(root) else 0
-    record = {}
-    if not discover(record, (root,), successors, max_states):
-        named = f" {name!r}" if name else ""
-        raise StateExplosionError(f"more than {max_states} states while compiling{named}")
-
-    # the terminal row (id 0) first, then discovery order (the sort is stable)
-    order = sorted(record, key=bool)
-    number = dict(zip(order, union.block(len(order), 0 if order[0] == 0 else None)))
-    union.initials.append(number[root])
-    for u in order:
-        moves, targets = transitions(u), record[u]
+    out_rows = union.rows
+    start = len(out_rows)
+    moves = transitions(root)
+    terminal = not moves
+    number = {root: 0 if terminal else start}  # term id -> union id
+    queue = [moves] if moves else []  # the moves of each non-terminal state, by id
+    for moves in queue:  # grows as the BFS discovers states
+        if len(queue) + terminal > max_states:
+            break
+        targets = []
+        for _, v in moves:
+            t = number.get(v)
+            if t is None:
+                found = transitions(v)
+                if found:
+                    t = number[v] = start + len(queue)
+                    queue.append(found)
+                else:
+                    t = number[v] = 0
+                    terminal = True
+            targets.append(t)
         if len(moves) == 1:
-            union.rows.append(((_shared_label(moves[0][0]), number[targets[0]]),))
-        elif moves:  # the terminal state's row is the union's row 0
+            out_rows.append(((_label_code(moves[0][0]), targets[0]),))
+        else:
             # ordered by label, but not by target, and two moves may both
             # collapse onto the terminal state, as in !a.0 + !a.(0 + 0)
-            row = sorted({(lab, number[v]) for (lab, _), v in zip(moves, targets)})
-            union.rows.append(tuple([(_shared_label(lab), v) for lab, v in row]))
+            row = sorted({(lab, t) for (lab, _), t in zip(moves, targets)})
+            out_rows.append(tuple([(_label_code(lab), t) for lab, t in row]))
+    if len(queue) + terminal > max_states:
+        del out_rows[start:]
+        named = f" {name!r}" if name else ""
+        raise StateExplosionError(f"more than {max_states} states while compiling{named}")
+    union.initials.append(number[root])
+    if terminal:
+        union.zero = 0
     return union
 
 

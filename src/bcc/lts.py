@@ -3,29 +3,34 @@
 States are dense integer ids.  A graph may own a distinguished *success*
 state: the unique state without outgoing edges (absent when the contract can
 never terminate).  A graph stores its canonical out-edge rows, each the
-sorted distinct edges out of one state; the public constructor validates an
-edge list and sorts it into them, while the compiler and ``merge_graphs``,
-whose rows are canonical by construction, hand them to the trusted
-``ContractGraph._from_rows``.  Weak barbs, divergence and
-success reachability are tables built on first read, by backward search over
-one shared tau-predecessor table, so a graph that is only merged or composed
-never builds them; tau-closures are searched on demand.  Graphs are
-immutable, and a racing first read of a table computes an equal value, so
-they may be read from any thread.
+sorted distinct edges out of one state, as ``(label code, target)`` pairs of
+plain ints; the public constructor validates an edge list and sorts it into
+them, while the compiler and ``merge_graphs``, whose rows are canonical by
+construction, hand them to the trusted ``ContractGraph._from_rows``.  Weak
+barbs, divergence and success reachability are tables built on first read,
+by backward search over one shared tau-predecessor table, so a graph that is
+only merged or composed never builds them; tau-closures are searched on
+demand.  Graphs are immutable, and a racing first read of a table computes
+an equal value, so they may be read from any thread.
 
 Labels are immutable and compare structurally, and ``inp``, ``out`` and
 ``_shared_label`` hand out one shared ``Label`` per action (kept for the life
-of the process, one per distinct name seen).  Every graph holds the shared
-label of each action, however it was built, and so do its copies and
-pickles.  So a label is internal iff it is ``TAU``, and the partner of a
-visible label is the very object ``Label.dual`` returns.
+of the process, one per distinct name seen).  Inside a row a label is an int
+code from one process-wide table: tau is 0, and ``?a`` and ``!a`` are ``2k``
+and ``2k + 1`` for the ``k`` the name ``a`` got when it was first seen, so
+the dual of a visible code is ``code ^ 1``.  The table also holds the shared
+labels, and threads that see a new name at once still get one code and one
+label per action.  Codes do not sort as labels
+do, and they are local to one process: rows are kept in label order, and a
+graph is copied and pickled through its labels.  ``edges``, ``out_edges``
+and ``barbs`` decode each code to its shared ``Label``.
 
 The graph kernels every layer of the package shares live here too:
 ``reach`` (BFS closure), ``attractor`` (counter-based dead-end propagation),
 ``diverging`` (the nodes outside an attractor) and ``reverse`` (the
 predecessor table), all over integer adjacency tuples, and ``discover``, the
-bounded BFS that the compiler and the pair universes explore their state
-spaces with, over a successor function.
+bounded BFS that the pair universes explore their state spaces with, over a
+successor function.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import count
 from typing import Iterable, Optional
 
 from .errors import UnknownStateError
@@ -86,21 +92,53 @@ class Label:
 TAU = Label(INTERNAL)
 
 
+# -- label codes: the labels of graph rows ---------------------------------
+
+_LABELS = {0: TAU}  # code -> the shared Label of its action
+_NAME_CODES = {}  # name -> the code of ?name; !name is one above
+_fresh_codes = count(2, 2)
+
+
+@lru_cache(maxsize=None)
+def _label_code(lab: tuple) -> int:
+    """The row code of the label ``(kind, name)``."""
+    kind, name = lab
+    if kind == INTERNAL:
+        return 0
+    code = _NAME_CODES.get(name)
+    if code is None:
+        fresh = next(_fresh_codes)
+        _LABELS[fresh], _LABELS[fresh + 1] = Label(INPUT, name), Label(OUTPUT, name)
+        # published whole, once: a thread that raced to name it first wins,
+        # and the codes and labels made here stay unused
+        code = _NAME_CODES.setdefault(name, fresh)
+    return code + kind - INPUT
+
+
+def _shared_label(lab: tuple) -> Label:
+    """The shared ``Label`` of ``(kind, name)``."""
+    return _LABELS[_label_code(lab)]
+
+
 @lru_cache(maxsize=None)
 def inp(name: str) -> Label:
-    return Label(INPUT, name)
+    return _shared_label((INPUT, name))
 
 
 @lru_cache(maxsize=None)
 def out(name: str) -> Label:
-    return Label(OUTPUT, name)
+    return _shared_label((OUTPUT, name))
 
 
-@lru_cache(maxsize=None)
-def _shared_label(lab: tuple) -> Label:
-    """The shared ``Label`` of ``(kind, name)``."""
-    kind, action = lab
-    return TAU if kind == INTERNAL else inp(action) if kind == INPUT else out(action)
+def _edge_order(edge: tuple) -> tuple:
+    lab = _LABELS[edge[0]]
+    return lab.kind, lab.name, edge[1]
+
+
+def _canonical(edges) -> tuple:
+    """Distinct ``(code, target)`` edges as a canonical row: by label, as
+    ``Label`` sorts, then by target."""
+    return tuple(sorted(edges, key=_edge_order))
 
 
 @dataclass(frozen=True)
@@ -123,12 +161,13 @@ class BarbSet:
 
 
 @lru_cache(maxsize=1024)
-def _barb_set(labels: tuple) -> BarbSet:
-    """The BarbSet of some visible labels.  Equal tuples share one object,
-    across graphs too, so the weak-barb tables allocate almost nothing."""
+def _barb_set(codes: tuple) -> BarbSet:
+    """The BarbSet of some visible label codes, distinct and ascending.
+    Equal tuples share one object, across graphs too, so the weak-barb
+    tables allocate almost nothing."""
     return BarbSet(
-        frozenset(lab.name for lab in labels if lab.kind == INPUT),
-        frozenset(lab.name for lab in labels if lab.kind == OUTPUT),
+        frozenset(_LABELS[c].name for c in codes if not c & 1),
+        frozenset(_LABELS[c].name for c in codes if c & 1),
     )
 
 
@@ -224,14 +263,14 @@ class ContractGraph:
     ``zero`` is the id of the success state, or None when no state of the
     graph is terminal.  The public constructor enforces that states are
     plain ints (no bool or float) and that ``zero`` is the only state without
-    outgoing edges, and it stores the shared label of each edge's action.  So
-    every graph holds the shared label of each action, as the compiler and
-    ``merge_graphs`` build theirs, and so do its copies and pickles.  ``name``
-    is display-only and ignored by equality.  A graph keeps only its out-edge
-    rows ``_out``, however it was built, and builds ``edges`` from them on
-    first read.  The derived tables (``_tau_adj``, ``_tau_pred``,
-    ``_reaches_zero``, ``_weak``, ``_diverging``) are built on first read
-    and cached on the instance.
+    outgoing edges.  ``name`` is display-only and ignored by equality.  A
+    graph keeps only its out-edge rows ``_out`` of ``(label code, target)``
+    ints, however it was built, and builds ``edges`` from them on first
+    read; ``edges``, ``out_edges`` and ``barbs`` hold the shared label of
+    each action.  Copies and pickles go through ``edges`` and the validating
+    constructor, since codes are local to a process.  The derived tables
+    (``_tau_adj``, ``_tau_pred``, ``_reaches_zero``, ``_weak``,
+    ``_diverging``) are built on first read and cached on the instance.
     """
 
     def __init__(
@@ -257,7 +296,7 @@ class ContractGraph:
                 raise ValueError(f"edge label {lab!r} is not a Label")
             if not (_is_index(s, num_states) and _is_index(t, num_states)):
                 raise ValueError(f"edge ({s!r}, {lab}, {t!r}) leaves the state range")
-            outgoing[s].add((_shared_label((lab.kind, lab.name)), t))
+            outgoing[s].add((_label_code((lab.kind, lab.name)), t))
         if zero is not None and outgoing[zero]:
             raise ValueError("the success state must have no outgoing edges")
         for s in range(num_states):
@@ -267,21 +306,26 @@ class ContractGraph:
                 )
         self.num_states, self.initial, self.zero = num_states, initial, zero
         self.name = name
-        self._out = tuple([tuple(sorted(row)) for row in outgoing])
+        self._out = tuple(map(_canonical, outgoing))
 
     @classmethod
     def _from_rows(
         cls, num_states: int, initial: int, rows: tuple, zero: Optional[int], name=""
     ) -> "ContractGraph":
         """A graph from canonical out-edge rows, trusted as they are: row s
-        holds the (label, target) edges out of s, sorted and distinct, each
-        label the shared one of its action, and only row ``zero`` is empty.
-        No check runs and no edge list is kept."""
+        holds the (label code, target) edges out of s, distinct and in
+        ``_canonical`` order, and only row ``zero`` is empty.  No check runs
+        and no edge list is kept."""
         graph = cls.__new__(cls)
         graph.num_states, graph.initial, graph.zero = num_states, initial, zero
         graph.name = name
         graph._out = rows
         return graph
+
+    def __reduce__(self):
+        # codes are local to a process: copies and pickles carry the labels
+        args = (self.num_states, self.initial, self.edges, self.zero, self.name)
+        return type(self), args
 
     # -- derived tables, built on first read -------------------------------
 
@@ -289,15 +333,18 @@ class ContractGraph:
     def edges(self) -> tuple:
         """Every (source, label, target) edge in canonical order."""
         return tuple(
-            [(s, lab, t) for s, outs in enumerate(self._out) for lab, t in outs]
+            [(s, _LABELS[c], t) for s, outs in enumerate(self._out) for c, t in outs]
         )
 
     @cached_property
     def _tau_adj(self) -> tuple:
         """The tau-successors of every state, ordered by state id."""
-        return tuple(
-            tuple(t for (lab, t) in outs if lab is TAU) for outs in self._out
-        )
+        # tau, code 0, sorts first: a row that does not start with it has none
+        return tuple([
+            tuple([t for code, t in outs if not code])
+            if outs and not outs[0][0] else ()
+            for outs in self._out
+        ])
 
     # a state tau-reaches success, or weakly offers a visible action, iff it
     # tau-reaches a state where that is decided
@@ -315,16 +362,22 @@ class ContractGraph:
 
     @cached_property
     def _weak(self) -> tuple:
-        offers = {}  # visible label -> the states with an edge carrying it
+        offers = {}  # visible code -> the states with an edge carrying it
         for s, outs in enumerate(self._out):
-            for lab, _ in outs:
-                if lab is not TAU:
-                    offers.setdefault(lab, []).append(s)
-        weak = [[] for _ in range(self.num_states)]
-        for lab, sources in sorted(offers.items()):  # one cache key per label set
-            for s in reach(self._tau_pred, sources):
-                weak[s].append(lab)
-        return tuple(_barb_set(tuple(labels)) for labels in weak)
+            for code, _ in outs:
+                if code:
+                    offers.setdefault(code, []).append(s)
+        codes = sorted(offers)  # bit i of a state's mask stands for codes[i]
+        masks = [0] * self.num_states
+        for i, code in enumerate(codes):
+            bit = 1 << i
+            for s in reach(self._tau_pred, offers[code]):
+                masks[s] |= bit
+        barbs = {  # mask -> its BarbSet
+            m: _barb_set(tuple([c for i, c in enumerate(codes) if m >> i & 1]))
+            for m in set(masks)
+        }
+        return tuple(map(barbs.__getitem__, masks))
 
     @cached_property
     def _diverging(self) -> frozenset:
@@ -341,12 +394,12 @@ class ContractGraph:
     def out_edges(self, s: int) -> tuple:
         """Outgoing (label, target) pairs in canonical order."""
         self._check_state(s)
-        return self._out[s]
+        return tuple([(_LABELS[c], t) for c, t in self._out[s]])
 
     def barbs(self, s: int) -> BarbSet:
         """Visible actions immediately available at s."""
         self._check_state(s)
-        return _barb_set(tuple(lab for (lab, _) in self._out[s] if lab.is_visible))
+        return _barb_set(tuple(sorted({c for c, _ in self._out[s] if c})))
 
     def tau_closure(self, s: int) -> frozenset:
         """Least set containing s and closed under tau-edges."""
@@ -416,7 +469,7 @@ class _Union:
         """The union's graph and the initial state of every block."""
         rows, initials, zero = tuple(self.rows), tuple(self.initials), self.zero
         if zero is None:
-            rows = tuple([tuple([(lab, t - 1) for lab, t in row]) for row in rows[1:]])
+            rows = tuple([tuple([(c, t - 1) for c, t in row]) for row in rows[1:]])
             initials = tuple([s - 1 for s in initials])
         return ContractGraph._from_rows(len(rows), initials[0], rows, zero, name), initials
 
@@ -433,7 +486,7 @@ def merge_graphs(graphs: Iterable[ContractGraph]) -> tuple:
     blocks of ids (``_Union``), and renumbering keeps the order of every
     state but success, which becomes 0.  So only a row of a component whose
     success state was not 0 can fall out of order, and only such a row is
-    sorted.
+    sorted again.
     """
     union = _Union()
     for g in graphs:
@@ -441,9 +494,9 @@ def merge_graphs(graphs: Iterable[ContractGraph]) -> tuple:
         union.initials.append(ids[g.initial])
         for outs in g._out:
             if outs:  # the success state's row is the union's row 0
-                row = [(lab, ids[t]) for lab, t in outs]
+                row = [(c, ids[t]) for c, t in outs]
                 # renumbered to 0, success may now precede its group
-                union.rows.append(tuple(sorted(row) if g.zero else row))
+                union.rows.append(_canonical(row) if g.zero else tuple(row))
     if not union.initials:
         raise ValueError("merge_graphs needs at least one graph")
     return union.graph()

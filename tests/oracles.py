@@ -549,8 +549,8 @@ def _reference_tau_targets(composition, ps):
     c, s = ps
     targets = {PairState(t, s) for t in composition.client._tau_adj[c]}
     targets.update(PairState(c, t) for t in composition.server._tau_adj[s])
-    server_out = composition.server._out[s]
-    for lab, c2 in composition.client._out[c]:
+    server_out = composition.server.out_edges(s)
+    for lab, c2 in composition.client.out_edges(c):
         if lab.kind:
             # a visible action meets its dual: same name, other kind
             dual, name = 3 - lab.kind, lab.name

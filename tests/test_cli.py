@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import gc
 import io
+import itertools
 import json
 import os
 import re
@@ -453,6 +454,35 @@ def test_matrix_keeps_padded_and_plain_numbers_apart(capsys, tmp_path):
     assert code == 0 and err == ""
     pairs = json.loads(out)["pairs"]
     assert [e["client"] for e in pairs] == ["p01", "p1", "p2", "p10"]
+
+
+LONG_NUMBER = "1" + "0" * 4300  # more digits than int() converts
+
+
+@pytest.mark.parametrize("command", ["matrix", "verify-propositions"])
+def test_a_pair_number_too_long_for_int_sorts_after_shorter_ones(
+    capsys, tmp_path, command
+):
+    text = f"p{LONG_NUMBER} = !a.0\nq{LONG_NUMBER} = ?a.0\np1 = !b.0\nq1 = ?b.0\n"
+    (tmp_path / "long.bc").write_text(text)
+    # each pair's universe holds two pairs, so a bound of two keeps the first
+    code, out, err = run(capsys, command, str(tmp_path), "--max-pairs", "2", "--json")
+    assert code == 0
+    report = json.loads(out)
+    if command == "matrix":
+        assert err == ""
+        assert [e["client"] for e in report["pairs"]] == ["p1", "p" + LONG_NUMBER]
+    else:
+        long_pair = f"p{LONG_NUMBER}‖q{LONG_NUMBER}"
+        assert report["universe"] == {"pairs": 2, "roots": 1, "dropped": [long_pair]}
+
+
+def test_pair_numbers_sort_as_their_value_then_their_text():
+    numbers = ["0", "00", "1", "01", "9", "10", "010"]
+    expected = sorted(numbers, key=lambda n: (int(n), n))
+    assert expected == ["0", "00", "01", "1", "9", "010", "10"]
+    for order in itertools.permutations(numbers):
+        assert sorted(order, key=cli._number_order) == expected
 
 
 def test_matrix_pair_column_fits_the_longest_label(capsys, tmp_path):

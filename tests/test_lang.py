@@ -33,8 +33,9 @@ from bcc import (
     well_formed,
 )
 from bcc.generator import GenConfig, random_contract, random_pairs
-from bcc.lang import NIL
-from bcc.lts import INPUT, INTERNAL, Label
+from bcc.lang import DEFAULT_MAX_STATES, NIL, _add
+from bcc.lts import INPUT, INTERNAL, Label, _Union, merge_graphs
+from bcc.terms import _rows
 from oracles import reference_compile, reference_parse, reference_parse_term
 
 
@@ -219,6 +220,23 @@ def test_compile_state_bound_counts_the_initial_state(text):
         compile_term(parse_term(text), max_states=0)
     if not compile_term(parse_term(text)).edges:
         assert compile_term(parse_term(text), max_states=1).num_states == 1
+
+
+@pytest.mark.parametrize("before", ["rec X.!a.X", "!a.0"])
+@pytest.mark.parametrize("failing", ["0", "!b.!c.0", "rec Y.(?b.Y + !c.tau.0)"])
+def test_a_failing_compile_leaves_the_union_as_it_was(before, failing):
+    # each failing term has one state more than the bound; its rows are
+    # written as the BFS goes, and taken back
+    union = _add(_Union(), _rows(parse_term(before)), DEFAULT_MAX_STATES)
+    kept = (list(union.rows), list(union.initials), union.zero)
+    bound = compile_term(parse_term(failing)).num_states - 1
+    with pytest.raises(StateExplosionError):
+        _add(union, _rows(parse_term(failing)), bound)
+    assert (union.rows, union.initials, union.zero) == kept
+    # and the union takes the next term as if the failed one was never tried
+    _add(union, _rows(parse_term(failing)), bound + 1)
+    parts = [compile_term(parse_term(text)) for text in (before, failing)]
+    assert union.graph() == merge_graphs(parts)
 
 
 def test_exactly_one_sink_in_compiled_graphs():
@@ -492,7 +510,9 @@ def test_compile_runs_no_label_method_and_emits_shared_labels(monkeypatch):
     assert graphs == expected
     for term, g in zip(terms, graphs):
         if not isinstance(g, str):
-            assert all(lab is shared(lab) for row in g._out for lab, _ in row), pretty(term)
+            assert all(lab is shared(lab) for _, lab, _ in g.edges), pretty(term)
+            labels = [lab for s in range(g.num_states) for lab, _ in g.out_edges(s)]
+            assert all(lab is shared(lab) for lab in labels), pretty(term)
 
 
 def test_compile_leaves_no_cyclic_garbage():

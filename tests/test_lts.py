@@ -1,6 +1,11 @@
 import copy
+import os
 import pickle
+import subprocess
+import sys
+import threading
 from itertools import permutations
+from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
@@ -21,7 +26,7 @@ from bcc import (
     parse_term,
     compile_term,
 )
-from bcc.lts import attractor, discover, reach
+from bcc.lts import _label_code, _shared_label, attractor, discover, reach
 from conftest import compiled_random_pair, contract_graphs
 from oracles import (
     diverges_brute,
@@ -110,6 +115,88 @@ def test_copies_and_pickles_keep_the_shared_labels(clone):
     assert clone(Label(OUTPUT, "a")) is out("a")
     assert clone(Label(INTERNAL)) is TAU
     assert clone(inp("b")) is inp("b")
+
+
+def assert_rows_of_ints(graph):
+    # (label code, target) pairs of plain ints, which the collector untracks
+    for row in graph._out:
+        assert type(row) is tuple
+        for edge in row:
+            assert type(edge) is tuple and len(edge) == 2
+            assert all(type(x) is int for x in edge), edge
+
+
+def test_every_row_holds_only_ints():
+    constructed = fresh_label_graph()
+    compiled = compile_term(parse_term("rec X.(?a.tau.X + !b.0 + tau.!a.(0 + 0))"))
+    merged, _ = merge_graphs([compiled, constructed])
+    unpickled = pickled(merged, pickle.HIGHEST_PROTOCOL)
+    assert unpickled == merged
+    for graph in (constructed, compiled, merged, unpickled, copy.deepcopy(compiled)):
+        assert_rows_of_ints(graph)
+
+
+def test_a_pickle_loads_in_a_process_that_coded_other_names_first():
+    # label codes are local to a process: the fresh interpreter gives the
+    # names !z0.0, !z1.0, ... every code that ?a and ?b have here
+    graph = compile_term(parse_term("rec X.(?a.X + !a.tau.0 + ?b.0)"))
+    taken = max(_label_code((INPUT, name)) for name in "ab") // 2
+    script = (
+        "import pickle, sys\n"
+        "from bcc import TAU, compile_term, inp, out, parse_term\n"
+        f"for i in range({taken}):\n"
+        "    compile_term(parse_term(f'!z{i}.0'))\n"
+        "g = pickle.loads(sys.stdin.buffer.read())\n"
+        "shared = {TAU: TAU, inp('a'): inp('a'), out('a'): out('a'), inp('b'): inp('b')}\n"
+        "labels = [lab for s in range(g.num_states) for lab, _ in g.out_edges(s)]\n"
+        "assert labels and all(lab is shared[lab] for lab in labels), labels\n"
+        "sys.stdout.buffer.write(pickle.dumps(g.edges))\n"
+    )
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        input=pickle.dumps(graph),
+        capture_output=True,
+        env=env,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr.decode()
+    assert pickle.loads(done.stdout) == graph.edges
+
+
+def test_threads_that_race_to_code_a_name_get_one_code():
+    # names first seen by several threads at once: every thread must get
+    # the one code of each label, ?a even and !a the next, and the one
+    # shared Label of each action
+    names = [f"race{i}" for i in range(2000)]
+    labels = [(kind, name) for name in names for kind in (INPUT, OUTPUT)]
+    seen, shared = [None] * 4, [None] * 4
+    start = threading.Barrier(len(seen), timeout=60)
+
+    def code_all(k):
+        start.wait()
+        shared[k] = [inp(name) if k % 2 else out(name) for name in names]
+        seen[k] = [_label_code(lab) for lab in labels]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=code_all, args=(k,)) for k in range(len(seen))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(codes == seen[0] for codes in seen)
+    codes = dict(zip(labels, seen[0]))
+    for i, name in enumerate(names):
+        assert codes[INPUT, name] % 2 == 0 and codes[OUTPUT, name] == codes[INPUT, name] + 1
+        assert _shared_label((INPUT, name)) is inp(name) is shared[1][i] is shared[3][i]
+        assert _shared_label((OUTPUT, name)) is out(name) is shared[0][i] is shared[2][i]
 
 
 def test_label_ordering_is_kind_then_name():
