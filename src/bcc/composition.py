@@ -99,9 +99,6 @@ class Composition:
                         targets.add(c2 * n + s2)
         return tuple(sorted(targets))
 
-    def is_successful(self, ps: PairState) -> bool:
-        return self._code(ps) // self.server.num_states == self.client.zero
-
     def explore(self, record: dict, roots, max_pairs: int) -> bool:
         """Extend a tau-closed ``record`` (pair code -> the sorted codes of
         its tau-successors) to the least tau-closed superset of the roots:

@@ -47,14 +47,6 @@ class PairSet:
         return x
 
     @staticmethod
-    def empty(universe: PairUniverse) -> "PairSet":
-        return PairSet._of(universe, frozenset())
-
-    @staticmethod
-    def full(universe: PairUniverse) -> "PairSet":
-        return PairSet._of(universe, frozenset(range(len(universe))))
-
-    @staticmethod
     def of_pairs(universe: PairUniverse, pairs: Iterable[PairState]) -> "PairSet":
         return PairSet._of(universe, frozenset(universe.index_of(p) for p in pairs))
 
@@ -79,10 +71,6 @@ class PairSet:
     def __or__(self, other: "PairSet") -> "PairSet":
         self._same_universe(other)
         return PairSet._of(self.universe, self.indices | other.indices)
-
-    def __and__(self, other: "PairSet") -> "PairSet":
-        self._same_universe(other)
-        return PairSet._of(self.universe, self.indices & other.indices)
 
     def __sub__(self, other: "PairSet") -> "PairSet":
         self._same_universe(other)

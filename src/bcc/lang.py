@@ -32,15 +32,17 @@ guardedness violations: a variable is bound if an open "rec" binds it, and
 unguarded if no prefix is pending between its innermost binder and it.  So
 the command line builds no ``Term`` and walks no term before compiling.
 
-A compile starts from a term's rows, one plain tuple of ints, strs and
-``(kind, name)`` labels per distinct subterm, children first: the parser's
-rows of a definition, or, in ``terms.compile_term``, the rows that
-``terms._intern`` writes for a closed guarded ``Term``.  It adds the rows
-that unfolding makes, so each unfolding is hashed once, in C, and equal
-terms share one integer id; no ``Term`` or ``Label`` is hashed or compared,
-and the emitted rows hold int label codes (``lts._label_code``), no
-``Label``.  Substitution and move collection recurse once per nesting
-level, as interning does.  The table is one object that nothing refers
+A compile starts from a term's rows, one plain tuple of ints and strs per
+distinct subterm, children first, with each label as its int code
+(``lts._label_code``): the parser's rows of a definition, or, in
+``terms.compile_term``, the rows that ``terms._intern`` writes for a closed
+guarded ``Term``.  It adds the rows that unfolding makes, so each unfolding
+is hashed once, in C, and equal terms share one integer id; no ``Term`` or
+``Label`` is hashed or compared.  Moves and emitted rows are sorted by
+label with the keys of ``lts`` (``_move_order``, ``_canonical``), so the
+label order is written once, and a move's code goes into its row as it is.
+Substitution and move collection recurse once per nesting level, as
+interning does.  The table is one object that nothing refers
 back to, so it is freed when the compile returns; walks are its methods or
 module-level functions, never closures that call themselves, which would
 tie a reference cycle.  The compiler's one BFS numbers each state when it
@@ -56,8 +58,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
-from operator import itemgetter
 
 from .errors import (
     DuplicateNameError,
@@ -65,7 +65,7 @@ from .errors import (
     ParseError,
     StateExplosionError,
 )
-from .lts import TAU, _label_code, _Union, inp, out
+from .lts import INPUT, INTERNAL, OUTPUT, _canonical, _label_code, _move_order, _Union
 
 DEFAULT_MAX_STATES = 1024
 
@@ -129,14 +129,8 @@ def _end(line, tokens, pos, what) -> None:
         raise ParseError(message, line_no, _column(text, pos))
 
 
-@lru_cache(maxsize=None)
-def _label_row(prefix: str, name) -> tuple:
-    """The ``(kind, name)`` row label of "tau", or of "?" or "!" and a name:
-    one tuple per action, kept for the life of the process as ``lts.inp``
-    and ``lts.out`` keep their labels, so the rows of a parsed file share
-    them."""
-    lab = TAU if name is None else inp(name) if prefix == "?" else out(name)
-    return lab.kind, lab.name
+# the label kind of each prefix
+_KINDS = {"tau": INTERNAL, "?": INPUT, "!": OUTPUT}
 
 
 def _term(line, tokens, pos) -> tuple:
@@ -194,7 +188,7 @@ def _term(line, tokens, pos) -> tuple:
                 raise _fail(line, tokens, pos, "'.'")
             pos += 1
             if text != "rec":
-                prefixes.append(_label_row(text, name))
+                prefixes.append(_label_code(_KINDS[text], name))
                 continue
             binders.setdefault(name, []).append(len(prefixes))
         elif text != "(":
@@ -250,10 +244,10 @@ _NIL, _VAR, _PREFIX, _CHOICE, _REC = range(5)
 class _TermTable:
     """The term table of one compile: plain-tuple rows <-> int ids, with
     ``subst`` and ``transitions`` memoised on ids.  A row is ``(_NIL,)``
-    (always id 0), ``(_VAR, name)``, ``(_PREFIX, (kind, name), child)``,
-    ``(_CHOICE, left, right)`` or ``(_REC, var, body)``: ints, strs and
-    labels as ``(kind, name)`` tuples, which hash and compare in C and sort
-    as ``Label`` does.  A child's id is below its parent's.  A compile
+    (always id 0), ``(_VAR, name)``, ``(_PREFIX, code, child)``,
+    ``(_CHOICE, left, right)`` or ``(_REC, var, body)``: ints and strs,
+    which hash and compare in C, with a label as its ``lts`` code.  A
+    child's id is below its parent's.  A compile
     starts from the rows that the parser wrote (see ``_term``) and adds the
     rows that unfolding makes.  In a compile only ``subst`` adds rows, so
     the row -> id dict is built on the first ``row`` call, and a term
@@ -292,7 +286,8 @@ class _TermTable:
         return done
 
     def transitions(self, u: int) -> tuple:
-        """Initial (label, target id) moves, deduplicated, ordered by label."""
+        """Initial (label code, target id) moves, deduplicated, ordered by
+        label (``lts._move_order``)."""
         r = self.rows[u]
         op = r[0]
         if op == _PREFIX:
@@ -305,7 +300,7 @@ class _TermTable:
                 both = self.transitions(r[1]) + self.transitions(r[2])
                 # stable on the label alone: the order of the targets of one
                 # label is the discovery order of the states
-                moves = tuple(sorted(dict.fromkeys(both), key=itemgetter(0)))
+                moves = tuple(sorted(dict.fromkeys(both), key=_move_order))
             else:
                 moves = self.transitions(self.subst(r[2], u, r[1]))
             self.moves[u] = moves
@@ -349,12 +344,11 @@ def _add(union: _Union, term_rows: tuple, max_states: int, name: str = "") -> _U
                     terminal = True
             targets.append(t)
         if len(moves) == 1:
-            out_rows.append(((_label_code(moves[0][0]), targets[0]),))
+            out_rows.append(((moves[0][0], targets[0]),))
         else:
             # ordered by label, but not by target, and two moves may both
             # collapse onto the terminal state, as in !a.0 + !a.(0 + 0)
-            row = sorted({(lab, t) for (lab, _), t in zip(moves, targets)})
-            out_rows.append(tuple([(_label_code(lab), t) for lab, t in row]))
+            out_rows.append(_canonical({(m[0], t) for m, t in zip(moves, targets)}))
     if len(queue) + terminal > max_states:
         del out_rows[start:]
         named = f" {name!r}" if name else ""

@@ -15,15 +15,19 @@ an equal value, so they may be read from any thread.
 
 Labels are immutable and compare structurally, and ``inp``, ``out`` and
 ``_shared_label`` hand out one shared ``Label`` per action (kept for the life
-of the process, one per distinct name seen).  Inside a row a label is an int
-code from one process-wide table: tau is 0, and ``?a`` and ``!a`` are ``2k``
-and ``2k + 1`` for the ``k`` the name ``a`` got when it was first seen, so
-the dual of a visible code is ``code ^ 1``.  The table also holds the shared
-labels, and threads that see a new name at once still get one code and one
-label per action.  Codes do not sort as labels
-do, and they are local to one process: rows are kept in label order, and a
-graph is copied and pickled through its labels.  ``edges``, ``out_edges``
-and ``barbs`` decode each code to its shared ``Label``.
+of the process, one per distinct name seen).  Everywhere else, from the
+parser's rows to a graph's, a label is an int code from one process-wide
+table, ``_label_code`` (the only label cache): tau is 0, and ``?a`` and
+``!a`` are ``2k`` and ``2k + 1`` for the ``k`` the name ``a`` got when it
+was first seen, so the dual of a visible code is ``code ^ 1``.  The table
+also holds the shared labels (``_LABELS``) and the label order
+(``_ORDER``), and threads that see a new name at once still get one code
+and one label per action.  Codes do not sort as labels do, and they are
+local to one process: ``_ORDER`` maps each code to its ``(kind, name)``
+tuple, which sorts as ``Label`` does, so every row sort (``_canonical``,
+``_move_order``) keys on it, and a graph is copied and pickled through its
+labels.  ``edges``, ``out_edges`` and ``barbs`` decode each code to its
+shared ``Label``.
 
 The graph kernels every layer of the package shares live here too:
 ``reach`` (BFS closure), ``attractor`` (counter-based dead-end propagation),
@@ -71,14 +75,6 @@ class Label:
     def is_visible(self) -> bool:
         return self.kind != INTERNAL
 
-    def dual(self) -> "Label":
-        """?a <-> !a.  The internal action has no dual."""
-        if self.kind == INPUT:
-            return out(self.name)
-        if self.kind == OUTPUT:
-            return inp(self.name)
-        raise ValueError("the internal action has no dual")
-
     def __str__(self) -> str:
         if self.kind == INTERNAL:
             return "tau"
@@ -92,47 +88,50 @@ class Label:
 TAU = Label(INTERNAL)
 
 
-# -- label codes: the labels of graph rows ---------------------------------
+# -- label codes: the labels of all rows -----------------------------------
 
 _LABELS = {0: TAU}  # code -> the shared Label of its action
+_ORDER = {0: (INTERNAL, "")}  # code -> its (kind, name), which sorts as Label does
 _NAME_CODES = {}  # name -> the code of ?name; !name is one above
 _fresh_codes = count(2, 2)
 
 
 @lru_cache(maxsize=None)
-def _label_code(lab: tuple) -> int:
-    """The row code of the label ``(kind, name)``."""
-    kind, name = lab
+def _label_code(kind: int, name) -> int:
+    """The row code of the label ``(kind, name)``; tau's name is ignored."""
     if kind == INTERNAL:
         return 0
     code = _NAME_CODES.get(name)
     if code is None:
         fresh = next(_fresh_codes)
         _LABELS[fresh], _LABELS[fresh + 1] = Label(INPUT, name), Label(OUTPUT, name)
+        _ORDER[fresh], _ORDER[fresh + 1] = (INPUT, name), (OUTPUT, name)
         # published whole, once: a thread that raced to name it first wins,
-        # and the codes and labels made here stay unused
+        # and the codes, labels and orders made here stay unused
         code = _NAME_CODES.setdefault(name, fresh)
     return code + kind - INPUT
 
 
 def _shared_label(lab: tuple) -> Label:
     """The shared ``Label`` of ``(kind, name)``."""
-    return _LABELS[_label_code(lab)]
+    return _LABELS[_label_code(*lab)]
 
 
-@lru_cache(maxsize=None)
 def inp(name: str) -> Label:
-    return _shared_label((INPUT, name))
+    return _LABELS[_label_code(INPUT, name)]
 
 
-@lru_cache(maxsize=None)
 def out(name: str) -> Label:
-    return _shared_label((OUTPUT, name))
+    return _LABELS[_label_code(OUTPUT, name)]
+
+
+def _move_order(move: tuple) -> tuple:
+    """The sort key of a ``(code, ...)`` move: its label, as ``Label`` sorts."""
+    return _ORDER[move[0]]
 
 
 def _edge_order(edge: tuple) -> tuple:
-    lab = _LABELS[edge[0]]
-    return lab.kind, lab.name, edge[1]
+    return _ORDER[edge[0]], edge[1]
 
 
 def _canonical(edges) -> tuple:
@@ -296,7 +295,7 @@ class ContractGraph:
                 raise ValueError(f"edge label {lab!r} is not a Label")
             if not (_is_index(s, num_states) and _is_index(t, num_states)):
                 raise ValueError(f"edge ({s!r}, {lab}, {t!r}) leaves the state range")
-            outgoing[s].add((_label_code((lab.kind, lab.name)), t))
+            outgoing[s].add((_label_code(lab.kind, lab.name), t))
         if zero is not None and outgoing[zero]:
             raise ValueError("the success state must have no outgoing edges")
         for s in range(num_states):
@@ -323,8 +322,10 @@ class ContractGraph:
         return graph
 
     def __reduce__(self):
-        # codes are local to a process: copies and pickles carry the labels
-        args = (self.num_states, self.initial, self.edges, self.zero, self.name)
+        # codes are local to a process: copies and pickles carry the labels,
+        # listed afresh so that the original caches no edge list
+        edges = ContractGraph.edges.func(self)
+        args = (self.num_states, self.initial, edges, self.zero, self.name)
         return type(self), args
 
     # -- derived tables, built on first read -------------------------------

@@ -12,10 +12,12 @@ of terms written before the split keep working.
 Terms are immutable and compare structurally, so parsed and generated terms
 share what they can: one ``Label`` per action (``lts.inp`` and ``lts.out``),
 the one ``NIL``, and one node per distinct subterm of a parsed definition.
-``parse`` and ``parse_term`` build their ``Term``s from the parser's rows,
-one row at a time.  ``compile_term`` compiles the rows that ``_intern``
-writes for a closed guarded ``Term``.  ``well_formed`` walks an explicit
-stack.
+Rows hold each label as its ``lts`` code, and two functions bridge
+``Label``s and rows: ``_built``, which builds the ``Term``s of ``parse``
+and ``parse_term`` from the parser's rows, one row at a time, with the
+shared ``Label`` of each code, and ``_intern``, which writes the rows, one
+code per label, that ``compile_term`` compiles for a closed guarded
+``Term``.  ``well_formed`` walks an explicit stack.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .lang import (
     _term,
     _tokenize,
 )
-from .lts import ContractGraph, Label, _shared_label, _Union
+from .lts import _LABELS, ContractGraph, Label, _label_code, _Union
 
 
 class Term:
@@ -95,7 +97,7 @@ def _built(rows: tuple, root: int) -> Term:
     for r in rows:
         op = r[0]
         if op == _PREFIX:
-            terms.append(Prefix(_shared_label(r[1]), terms[r[2]]))
+            terms.append(Prefix(_LABELS[r[1]], terms[r[2]]))
         elif op == _CHOICE:
             terms.append(Choice(terms[r[1]], terms[r[2]]))
         elif op == _REC:
@@ -186,8 +188,8 @@ def _intern(table, t: Term) -> int:
     """The id of the row of a term in a ``lang._TermTable``, its subterms'
     rows written first."""
     if isinstance(t, Prefix):
-        lab = t.label
-        return table.row((_PREFIX, (lab.kind, lab.name), _intern(table, t.body)))
+        code = _label_code(t.label.kind, t.label.name)
+        return table.row((_PREFIX, code, _intern(table, t.body)))
     if isinstance(t, Choice):
         return table.row((_CHOICE, _intern(table, t.left), _intern(table, t.right)))
     if isinstance(t, Rec):

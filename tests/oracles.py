@@ -31,6 +31,7 @@ from bcc import (
     Choice,
     ContractGraph,
     InvalidPairError,
+    Label,
     Nil,
     PairState,
     Prefix,
@@ -53,6 +54,11 @@ def raw_tau_targets(graph, state):
     return edge_targets(graph, state, TAU)
 
 
+def dual(label):
+    """?a <-> !a, from the label's own kind and name."""
+    return Label(OUTPUT if label.kind == INPUT else INPUT, label.name)
+
+
 def pair_moves(client, server, ps):
     """All composition moves of a pair, re-derived from the three rules."""
     c, s = ps
@@ -65,7 +71,7 @@ def pair_moves(client, server, ps):
             moves.add((lab, PairState(c, tgt)))
     for src, lab, tgt in client.edges:
         if src == c and lab.is_visible:
-            for s2 in edge_targets(server, s, lab.dual()):
+            for s2 in edge_targets(server, s, dual(lab)):
                 moves.add((TAU, PairState(tgt, s2)))
     return moves
 
@@ -79,7 +85,7 @@ def pair_tau_successors(client, server, ps):
         targets.add(PairState(c, t))
     for src, lab, tgt in client.edges:
         if src == c and lab.is_visible:
-            for s2 in edge_targets(server, s, lab.dual()):
+            for s2 in edge_targets(server, s, dual(lab)):
                 targets.add(PairState(tgt, s2))
     return targets
 

@@ -141,19 +141,20 @@ def test_tau_successors_examples(graphs):
 # -- success and stuckness ------------------------------------------------------
 
 
-def test_is_successful_checks_the_client_only(graphs):
-    composition = comp(graphs, "p1", "q2")
-    assert composition.is_successful(PairState(0, 0))
-    assert not composition.is_successful(PairState(1, 0))
+def test_success_checks_the_client_only(graphs):
+    universe = product_universe(graphs["p1"], graphs["q2"])
+    successful = universe.successful_indices
+    assert universe.index_of(PairState(0, 0)) in successful
+    assert universe.index_of(PairState(1, 0)) not in successful
     # a plain tuple is a pair too, as for tau_successors
-    assert composition.is_successful((0, 0))
-    assert not composition.is_successful((1, 0))
+    assert universe.index_of((0, 0)) in successful
+    assert universe.index_of((1, 0)) not in successful
 
 
 def test_client_without_terminal_state_is_never_successful(graphs):
-    composition = comp(graphs, "p2", "q2")
-    for c in range(graphs["p2"].num_states):
-        assert not composition.is_successful(PairState(c, 0))
+    universe = product_universe(graphs["p2"], graphs["q2"])
+    assert all(PairState(c, 0) in universe for c in range(graphs["p2"].num_states))
+    assert not universe.successful_indices
 
 
 def test_is_stuck_examples(graphs):
@@ -301,11 +302,11 @@ def test_successful_pairs_move_only_by_server_taus(seed):
     client, server = compiled_random_pair(seed)
     universe = universe_of(client, server)
     composition = universe.composition
-    for ps in universe:
-        if composition.is_successful(ps):
-            for t in composition.tau_successors(ps):
-                assert t.client == ps.client
-                assert (TAU, t.server) in server.out_edges(ps.server)
+    for i in universe.successful_indices:
+        ps = universe.pairs[i]
+        for t in composition.tau_successors(ps):
+            assert t.client == ps.client
+            assert (TAU, t.server) in server.out_edges(ps.server)
 
 
 def product_universe(client, server):
@@ -462,7 +463,7 @@ def test_out_of_range_components_do_not_alias_pairs():
     n = server.num_states
     assert n == 6
     universe = universe_of(client, server)
-    full = PairSet.full(universe)
+    full = PairSet(universe, range(len(universe)))
     # input -> the member that c * |S| + s would code it as, if any
     inputs = {
         PairState(2, 2 + n): PairState(3, 2),
@@ -484,7 +485,7 @@ def test_out_of_range_components_do_not_alias_pairs():
         with pytest.raises(UniverseMismatchError):
             verdict_at(universe, ps, RelationKind.MAY)
         with pytest.raises(InvalidPairError):
-            universe.composition.is_successful(ps)
+            universe.composition.tau_successors(ps)
 
 
 # -- dot export -----------------------------------------------------------------

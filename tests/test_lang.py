@@ -491,8 +491,8 @@ def shared(lab):
 
 
 def test_compile_runs_no_label_method_and_emits_shared_labels(monkeypatch):
-    # the term table keeps labels as (kind, name) tuples, so a compile hashes
-    # and compares no Label, and its rows hold the shared label of each action
+    # the term table keeps labels as int codes, so a compile hashes and
+    # compares no Label, and its rows decode to the shared label of each action
     terms = [d.term for d in corpus.example_definitions()]
     terms += [random_contract(GenConfig(seed=seed)) for seed in range(300)]
     # labels built directly are equal to the shared ones, but not them

@@ -26,7 +26,11 @@ from bcc import (
     parse_term,
     compile_term,
 )
-from bcc.lts import _label_code, _shared_label, attractor, discover, reach
+from bcc.corpus import EXAMPLES_SOURCE
+from bcc.generator import random_pairs
+from bcc.lang import _PREFIX, DEFAULT_MAX_STATES, _add, _definitions
+from bcc.lts import _label_code, _shared_label, _Union, attractor, discover, reach
+from bcc.terms import _rows
 from conftest import compiled_random_pair, contract_graphs
 from oracles import (
     diverges_brute,
@@ -36,21 +40,6 @@ from oracles import (
     union_brute,
     weak_barbs_brute,
 )
-
-names = st.from_regex(r"[a-z][a-z0-9_]{0,5}", fullmatch=True)
-visible_labels = st.one_of(st.builds(inp, names), st.builds(out, names))
-
-
-@given(visible_labels)
-def test_dual_is_an_involution(label):
-    assert label.dual().dual() == label
-    assert label.dual() != label
-    assert label.dual().name == label.name
-
-
-def test_internal_has_no_dual():
-    with pytest.raises(ValueError):
-        TAU.dual()
 
 
 def test_label_validation():
@@ -65,7 +54,6 @@ def test_label_validation():
 def test_one_label_per_action():
     assert inp("a") is inp("a") and out("a") is out("a")
     assert inp("a") is not out("a")
-    assert inp("a").dual() is out("a") and out("b").dual() is inp("b")
     assert inp("a") == Label(INPUT, "a")
 
 
@@ -117,6 +105,16 @@ def test_copies_and_pickles_keep_the_shared_labels(clone):
     assert clone(inp("b")) is inp("b")
 
 
+@pytest.mark.parametrize(
+    "clone", [pickle.dumps, copy.copy, copy.deepcopy], ids=["pickle", "copy", "deepcopy"]
+)
+def test_copies_and_pickles_cache_nothing_on_the_original(clone):
+    graph = compile_term(parse_term("rec X.(?a.tau.X + !b.0)"))
+    before = dict(vars(graph))
+    clone(graph)
+    assert vars(graph) == before
+
+
 def assert_rows_of_ints(graph):
     # (label code, target) pairs of plain ints, which the collector untracks
     for row in graph._out:
@@ -136,11 +134,27 @@ def test_every_row_holds_only_ints():
         assert_rows_of_ints(graph)
 
 
+TESTS = Path(__file__).resolve().parent
+
+
+def in_fresh_process(script: str, stdin: bytes = b"") -> bytes:
+    """The stdout of a fresh interpreter that runs ``script``, with the
+    package and the tests on its path."""
+    env = dict(os.environ)
+    paths = [str(TESTS.parent / "src"), str(TESTS), env.get("PYTHONPATH")]
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, paths))
+    done = subprocess.run(
+        [sys.executable, "-c", script], input=stdin, capture_output=True, env=env, timeout=60
+    )
+    assert done.returncode == 0, done.stderr.decode()
+    return done.stdout
+
+
 def test_a_pickle_loads_in_a_process_that_coded_other_names_first():
     # label codes are local to a process: the fresh interpreter gives the
     # names !z0.0, !z1.0, ... every code that ?a and ?b have here
     graph = compile_term(parse_term("rec X.(?a.X + !a.tau.0 + ?b.0)"))
-    taken = max(_label_code((INPUT, name)) for name in "ab") // 2
+    taken = max(_label_code(INPUT, name) for name in "ab") // 2
     script = (
         "import pickle, sys\n"
         "from bcc import TAU, compile_term, inp, out, parse_term\n"
@@ -152,18 +166,41 @@ def test_a_pickle_loads_in_a_process_that_coded_other_names_first():
         "assert labels and all(lab is shared[lab] for lab in labels), labels\n"
         "sys.stdout.buffer.write(pickle.dumps(g.edges))\n"
     )
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-c", script],
-        input=pickle.dumps(graph),
-        capture_output=True,
-        env=env,
-        timeout=60,
+    edges = in_fresh_process(script, pickle.dumps(graph))
+    assert pickle.loads(edges) == graph.edges
+
+
+def first_seen_order_graphs():
+    # the corpus compiled as the command line compiles it, and both sides of
+    # 50 generated pairs compiled from their terms and merged
+    defs = _definitions(EXAMPLES_SOURCE)
+    graphs = [_add(_Union(), rows, DEFAULT_MAX_STATES).graph()[0] for _, _, rows in defs]
+    pairs = random_pairs(1, 50)
+    for side in (0, 1):
+        graphs.append(merge_graphs([compile_term(pair[side]) for pair in pairs])[0])
+    return graphs
+
+
+def test_rows_follow_label_order_whatever_order_names_were_first_seen():
+    # the fresh interpreter codes z, y, x, c, b, a first, so there the codes
+    # of a, b and c descend, and here they ascend
+    script = (
+        "import pickle, sys\n"
+        "from bcc.lts import INPUT, _label_code\n"
+        "codes = [_label_code(INPUT, name) for name in 'zyxcba']\n"
+        "assert codes == sorted(codes)\n"
+        "from test_lts import first_seen_order_graphs\n"
+        "edges = [g.edges for g in first_seen_order_graphs()]\n"
+        "sys.stdout.buffer.write(pickle.dumps(edges))\n"
     )
-    assert done.returncode == 0, done.stderr.decode()
-    assert pickle.loads(done.stdout) == graph.edges
+    assert _label_code(INPUT, "a") < _label_code(INPUT, "b") < _label_code(INPUT, "c")
+    edges = [g.edges for g in first_seen_order_graphs()]
+    assert pickle.loads(in_fresh_process(script)) == edges
+    # the parser and _intern write each label as its int code
+    rows = [r for _, _, (rows, _, _) in _definitions(EXAMPLES_SOURCE) for r in rows]
+    rows += [r for pair in random_pairs(1, 50) for t in pair for r in _rows(t)[0]]
+    prefixes = [r for r in rows if r[0] == _PREFIX]
+    assert prefixes and all(type(r[1]) is int for r in prefixes)
 
 
 def test_threads_that_race_to_code_a_name_get_one_code():
@@ -178,7 +215,7 @@ def test_threads_that_race_to_code_a_name_get_one_code():
     def code_all(k):
         start.wait()
         shared[k] = [inp(name) if k % 2 else out(name) for name in names]
-        seen[k] = [_label_code(lab) for lab in labels]
+        seen[k] = [_label_code(kind, name) for kind, name in labels]
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

@@ -45,7 +45,7 @@ def test_every_row_place_has_a_proposition():
 def test_doctored_sets_produce_counterexamples(p3_universe):
     sets = relation_sets(p3_universe)
     # claim every pair is must-compliant: the stuck unsuccessful pair refutes it
-    sets[RelationKind.MUST] = PairSet.full(p3_universe)
+    sets[RelationKind.MUST] = PairSet(p3_universe, range(len(p3_universe)))
     reports = {r.name: r for r in verify_universe(p3_universe, sets=sets)}
     lfp_report = reports["least-fixpoint-is-must"]
     assert not lfp_report.ok

@@ -103,8 +103,8 @@ def test_every_pair_of_the_scope(c):
         assert universe.stuck_indices == reference.stuck_indices
 
         lfp, gfp = least_fixpoint(universe), greatest_fixpoint(universe)
-        assert kleene(PairSet.empty(universe)).indices == lfp.indices
-        assert kleene(PairSet.full(universe)).indices == gfp.indices
+        assert kleene(PairSet(universe, ())).indices == lfp.indices
+        assert kleene(PairSet(universe, range(len(universe)))).indices == gfp.indices
         assert all(r.ok for r in verify_universe(universe))
 
 
