@@ -9,10 +9,16 @@ is compiled from source and no cache is written), then with the caches that
 one earlier import wrote under a temporary ``PYTHONPYCACHEPREFIX``.  The two
 kinds of run alternate, and each is printed as the median and quartiles of
 its runs.  Then it runs ``check``, ``matrix``, ``dot`` and
-``verify-propositions`` on the bundled corpus, each in a fresh interpreter,
-and prints the ``bcc`` modules each one loaded.  It takes no options, and
-exits 1 if ``check``, ``matrix`` or ``dot`` loads a module that only
-``verify-propositions`` needs.
+``verify-propositions`` (without and with ``--random``) on the bundled
+corpus, each in a fresh interpreter under ``-S``, since the ``.pth`` files
+that ``site`` reads may load ``typing`` before any ``bcc`` code runs.  For
+each it prints the ``bcc`` modules it loaded and which of ``dataclasses``,
+``inspect`` and ``typing`` it loaded.  It takes no options, and exits 1 if
+``check``, ``matrix`` or ``dot`` loads a module that only
+``verify-propositions`` needs, if ``verify-propositions`` without
+``--random`` loads ``bcc.generator`` or ``bcc.terms``, or if any command but
+``verify-propositions --random`` loads ``dataclasses``, ``inspect`` or
+``typing``.
 """
 
 import os
@@ -28,20 +34,22 @@ CORPUS = ROOT / "corpus"
 EXAMPLES = str(CORPUS / "examples.bc")
 RUNS = 5
 VERIFY_ONLY = ("bcc.fixpoint", "bcc.generator", "bcc.propositions", "bcc.terms")
-COMMANDS = {
-    "check": ["check", EXAMPLES, "p1", EXAMPLES, "q1", "--json"],
-    "matrix": ["matrix", str(CORPUS), "--json"],
-    "dot": ["dot", EXAMPLES, "p1", EXAMPLES, "q1", os.devnull],
-    "verify-propositions": ["verify-propositions", str(CORPUS), "--random", "3"],
+RANDOM_ONLY = ("bcc.generator", "bcc.terms")
+HEAVY = ("dataclasses", "inspect", "typing")
+COMMANDS = {  # each command -> its arguments and the modules it must not load
+    "check": (["check", EXAMPLES, "p1", EXAMPLES, "q1", "--json"], VERIFY_ONLY + HEAVY),
+    "matrix": (["matrix", str(CORPUS), "--json"], VERIFY_ONLY + HEAVY),
+    "dot": (["dot", EXAMPLES, "p1", EXAMPLES, "q1", os.devnull], VERIFY_ONLY + HEAVY),
+    "verify-propositions": (["verify-propositions", str(CORPUS)], RANDOM_ONLY + HEAVY),
+    "verify-propositions --random": (
+        ["verify-propositions", str(CORPUS), "--random", "3"], ()
+    ),
 }
 TIME_IMPORT = (
     "import time; t = time.perf_counter(); import bcc.cli; "
     "print((time.perf_counter() - t) * 1000)"
 )
-LIST_MODULES = (
-    "import sys, bcc.cli; bcc.cli.main(sys.argv[1:]); "
-    "print(*(m for m in sys.modules if m.startswith('bcc')))"
-)
+LIST_MODULES = "import sys, bcc.cli; bcc.cli.main(sys.argv[1:]); print(*sys.modules)"
 
 
 def last_line(args, env) -> str:
@@ -73,11 +81,13 @@ def main() -> int:
             q1, median, q3 = statistics.quantiles(ms, n=4)
             print(f"{caches:<8}  {median:9.1f}  {q1:6.1f}  {q3:6.1f}")
         wrong = []
-        for command, argv in COMMANDS.items():
-            loaded = last_line(["-c", LIST_MODULES, *argv], cached).split()
-            print(f"{command}: {' '.join(sorted(loaded))}")
-            if command != "verify-propositions":
-                wrong += [f"{command} loads {m}" for m in VERIFY_ONLY if m in loaded]
+        for command, (argv, banned) in COMMANDS.items():
+            loaded = set(last_line(["-S", "-c", LIST_MODULES, *argv], cached).split())
+            own = sorted(m for m in loaded if m.startswith("bcc"))
+            heavy = [m for m in HEAVY if m in loaded] or ["none"]
+            print(f"{command}: {' '.join(own)}")
+            print(f"{command}, of {' '.join(HEAVY)}: {' '.join(heavy)}")
+            wrong += [f"{command} loads {m}" for m in banned if m in loaded]
     for problem in wrong:
         print(f"error: {problem}", file=sys.stderr)
     return 1 if wrong else 0

@@ -8,9 +8,11 @@ Subcommands:
 
 Exit codes: 0 everything holds, 1 some check fails, 2 error.
 
-Only verify-propositions draws terms and decides fixed points, so it alone
-imports ``generator``, ``terms``, ``fixpoint`` and ``propositions``, in the
-functions that use them: the other commands never load those modules.
+Only verify-propositions decides fixed points, so it alone imports
+``fixpoint`` and ``propositions``, and only its ``--random`` pairs are drawn
+as terms, so only then does it import ``generator`` and ``terms``; each is
+imported in the function that uses it, and the other commands never load
+those modules.
 """
 
 from __future__ import annotations
@@ -27,7 +29,9 @@ from pathlib import Path
 
 from . import __version__
 from .composition import DEFAULT_MAX_PAIRS, Composition, PairState, PairUniverse, to_dot
-from .errors import BccError, IllFormedError, ParseError, StateExplosionError
+from .errors import (
+    BccError, IllFormedError, PairExplosionError, ParseError, StateExplosionError
+)
 from .lang import DEFAULT_MAX_STATES, _add, _definitions
 from .lts import _is_index, _Union
 from .relations import ALL_RELATIONS, RelationKind, evaluate
@@ -226,7 +230,10 @@ def _cmd_matrix(args) -> int:
     for client_source, server_source in _corpus_pairs(args.corpus_dir):
         client = _compile(client_source, args.max_states)
         server = _compile(server_source, args.max_states)
-        verdicts = evaluate(client, server, max_pairs=args.max_pairs)
+        try:
+            verdicts = evaluate(client, server, max_pairs=args.max_pairs)
+        except PairExplosionError as exc:
+            raise BccError(f"{client.name}‖{server.name}: {exc}") from exc
         entries.append(_pair_entry(client.name, server.name, verdicts))
         cells = "  ".join(f"{marks[verdicts[k].holds]:>{width}}" for k in ALL_RELATIONS)
         rows.append((client.name + sep + server.name, cells))
@@ -247,15 +254,19 @@ def _verify_pairs(args):
     """(label, client source, server source) of every pair to verify, as
     ``_compile`` reads them, corpus pairs first.  Each pair is handed out
     once and then no longer held here; random pairs are drawn one at a time,
-    and each term is held only until its rows are written."""
-    from .generator import iter_random_pairs
-    from .terms import _rows
-
+    and each term is held only until its rows are written.  Only random
+    pairs need ``generator`` and ``terms``, so a corpus-only run loads
+    neither."""
     corpus = _corpus_pairs(args.corpus_dir)
     corpus.reverse()
     while corpus:
         c, s = corpus.pop()
         yield f"{c[1]}‖{s[1]}", c, s
+    if not args.random:
+        return
+    from .generator import iter_random_pairs
+    from .terms import _rows
+
     for i, (c, s) in enumerate(iter_random_pairs(args.seed, args.random)):
         label = f"random{i}"
         yield label, (f"{label} client", "", _rows(c)), (f"{label} server", "", _rows(s))

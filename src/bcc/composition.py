@@ -21,18 +21,16 @@ labels through ``ContractGraph.out_edges``.
 from __future__ import annotations
 
 import functools
+from collections import namedtuple
+from collections.abc import Iterable
 from itertools import repeat
-from typing import Iterable, NamedTuple, Optional
 
 from .errors import InvalidPairError, PairExplosionError, UniverseMismatchError
 from .lts import TAU, ContractGraph, _is_index, discover, reverse
 
 DEFAULT_MAX_PAIRS = 4096
 
-
-class PairState(NamedTuple):
-    client: int
-    server: int
+PairState = namedtuple("PairState", "client server")
 
 
 class Composition:
@@ -176,7 +174,7 @@ class PairUniverse:
     def __iter__(self):
         return iter(self.pairs)
 
-    def _find(self, ps) -> Optional[int]:
+    def _find(self, ps) -> int | None:
         try:
             return self._position.get(self.composition._code(ps))
         except InvalidPairError:

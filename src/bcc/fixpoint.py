@@ -15,35 +15,32 @@ classified as pre-fixed, post-fixed, or fixed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable
 from itertools import compress
-from typing import Iterable
 
 from .composition import PairState, PairUniverse
 from .errors import UniverseMismatchError
-from .lts import _is_index, attractor
+from .lts import _is_index, _Record, attractor
 from .relations import RelationKind, holding_indices
 
 
-@dataclass(frozen=True)
-class PairSet:
+class PairSet(_Record):
     """An immutable subset of a universe's pairs, by index."""
 
-    universe: PairUniverse
-    indices: frozenset
+    __match_args__ = ("universe", "indices")
 
-    def __post_init__(self):
-        object.__setattr__(self, "indices", frozenset(self.indices))
-        if not all(_is_index(i, len(self.universe)) for i in self.indices):
+    def __init__(self, universe: PairUniverse, indices):
+        indices = frozenset(indices)
+        if not all(_is_index(i, len(universe)) for i in indices):
             raise UniverseMismatchError("indices out of range for this universe")
+        self._fill(universe, indices)
 
     @classmethod
     def _of(cls, universe: PairUniverse, indices: frozenset) -> "PairSet":
         """A set of indices known to be in range, as the universe's own
         tables and set operations on its sets give them: not checked again."""
         x = cls.__new__(cls)
-        object.__setattr__(x, "universe", universe)
-        object.__setattr__(x, "indices", indices)
+        x._fill(universe, indices)
         return x
 
     @staticmethod
@@ -119,18 +116,19 @@ def restrict(universe: PairUniverse, kind: RelationKind) -> PairSet:
     return PairSet._of(universe, holding_indices(universe, kind))
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(_Record):
     """Where a candidate relation sits relative to the functional.
 
     ``pre_violations`` are pairs of F(X) \\ X (absent when X is pre-fixed);
     ``post_violations`` are pairs of X \\ F(X).
     """
 
-    is_pre: bool
-    is_post: bool
-    pre_violations: tuple
-    post_violations: tuple
+    __match_args__ = ("is_pre", "is_post", "pre_violations", "post_violations")
+
+    def __init__(
+        self, is_pre: bool, is_post: bool, pre_violations: tuple, post_violations: tuple
+    ):
+        self._fill(is_pre, is_post, pre_violations, post_violations)
 
     @property
     def is_fix(self) -> bool:

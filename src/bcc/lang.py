@@ -57,7 +57,6 @@ No edge list is built, sorted or validated again.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .errors import (
     DuplicateNameError,
@@ -65,7 +64,9 @@ from .errors import (
     ParseError,
     StateExplosionError,
 )
-from .lts import INPUT, INTERNAL, OUTPUT, _canonical, _label_code, _move_order, _Union
+from .lts import (
+    INPUT, INTERNAL, OUTPUT, _canonical, _label_code, _move_order, _Record, _Union
+)
 
 DEFAULT_MAX_STATES = 1024
 
@@ -73,10 +74,12 @@ _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 _RESERVED = ("tau", "rec")
 
 
-@dataclass(frozen=True)
-class Violation:
-    kind: str  # "unbound-variable" | "unguarded-recursion"
-    var: str
+class Violation(_Record):
+    __match_args__ = ("kind", "var")
+
+    def __init__(self, kind: str, var: str):
+        # kind: "unbound-variable" | "unguarded-recursion"
+        self._fill(kind, var)
 
     def __str__(self) -> str:
         return f"{self.kind}: {self.var}"

@@ -40,10 +40,9 @@ successor function.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from collections.abc import Iterable
+from functools import cached_property, lru_cache, total_ordering
 from itertools import count
-from typing import Iterable, Optional
 
 from .errors import UnknownStateError
 
@@ -52,24 +51,70 @@ INPUT = 1
 OUTPUT = 2
 
 
-@dataclass(frozen=True, order=True)
-class Label:
+class _Record:
+    """A frozen record, the base of the package's result records.  A
+    subclass names its fields, in order, as ``__match_args__`` (so positional
+    ``match`` patterns work), and its ``__init__`` passes their values to
+    ``_fill``.  Records compare equal only to records of the same class with
+    equal fields, hash and print their field values as frozen dataclasses
+    do, and refuse to set or delete an attribute; copies and pickles restore
+    the instance ``__dict__`` directly, so they never go through
+    ``__setattr__``."""
+
+    __match_args__ = ()
+
+    def _fill(self, *values) -> None:
+        # object.__setattr__, as a frozen dataclass sets its fields: reading
+        # self.__dict__ would materialise the instance dict, and every later
+        # field read would take about four times as long (CPython 3.11)
+        for name, value in zip(self.__match_args__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__match_args__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(map("{}={!r}".format, self.__match_args__, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+@total_ordering
+class Label(_Record):
     """A transition label: the internal action, or a named input/output.
 
     Ordering is (kind, name) with the internal action first, which is the
     canonical edge ordering used everywhere in this package.
     """
 
-    kind: int
-    name: str = ""
+    __match_args__ = ("kind", "name")
 
-    def __post_init__(self):
-        if self.kind not in (INTERNAL, INPUT, OUTPUT):
-            raise ValueError(f"bad label kind: {self.kind!r}")
-        if self.kind == INTERNAL and self.name:
+    def __init__(self, kind: int, name: str = ""):
+        if kind not in (INTERNAL, INPUT, OUTPUT):
+            raise ValueError(f"bad label kind: {kind!r}")
+        if kind == INTERNAL and name:
             raise ValueError("the internal action carries no name")
-        if self.kind != INTERNAL and not self.name:
+        if kind != INTERNAL and not name:
             raise ValueError("visible actions need a name")
+        self._fill(kind, name)
+
+    def __lt__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() < other._values()
 
     @property
     def is_visible(self) -> bool:
@@ -140,20 +185,17 @@ def _canonical(edges) -> tuple:
     return tuple(sorted(edges, key=_edge_order))
 
 
-@dataclass(frozen=True)
-class BarbSet:
+class BarbSet(_Record):
     """Visible actions available at (or weakly reachable from) a state.
 
     A state may offer inputs and outputs at once; the two sets are kept
     apart because the compliance conditions treat them asymmetrically.
     """
 
-    inputs: frozenset = frozenset()
-    outputs: frozenset = frozenset()
+    __match_args__ = ("inputs", "outputs")
 
-    def __post_init__(self):
-        object.__setattr__(self, "inputs", frozenset(self.inputs))
-        object.__setattr__(self, "outputs", frozenset(self.outputs))
+    def __init__(self, inputs=frozenset(), outputs=frozenset()):
+        self._fill(frozenset(inputs), frozenset(outputs))
 
     def __bool__(self) -> bool:
         return bool(self.inputs or self.outputs)
@@ -277,7 +319,7 @@ class ContractGraph:
         num_states: int,
         initial: int,
         edges: Iterable[Edge],
-        zero: Optional[int],
+        zero: int | None,
         name: str = "",
     ):
         if type(num_states) is not int:
@@ -309,7 +351,7 @@ class ContractGraph:
 
     @classmethod
     def _from_rows(
-        cls, num_states: int, initial: int, rows: tuple, zero: Optional[int], name=""
+        cls, num_states: int, initial: int, rows: tuple, zero: int | None, name=""
     ) -> "ContractGraph":
         """A graph from canonical out-edge rows, trusted as they are: row s
         holds the (label code, target) edges out of s, distinct and in
@@ -457,7 +499,7 @@ class _Union:
         # state -> its out-edge row, the initial state of every block, success
         self.rows, self.initials, self.zero = [()], [], None
 
-    def block(self, num_states: int, zero: Optional[int]) -> list:
+    def block(self, num_states: int, zero: int | None) -> list:
         """The union's ids of the states of the next block, whose rows the
         caller appends, success's left out."""
         ids = list(range(len(self.rows), len(self.rows) + num_states))

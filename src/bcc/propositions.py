@@ -4,10 +4,9 @@ and the expected inclusions between them hold pointwise."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .composition import PairUniverse
 from .fixpoint import PairSet, compliance_step, greatest_fixpoint, least_fixpoint, restrict
+from .lts import _Record
 from .relations import RelationKind
 
 INCLUSIONS = (
@@ -31,11 +30,11 @@ PLACES = {
 }
 
 
-@dataclass(frozen=True)
-class PropositionReport:
-    name: str
-    ok: bool
-    counterexamples: tuple = ()
+class PropositionReport(_Record):
+    __match_args__ = ("name", "ok", "counterexamples")
+
+    def __init__(self, name: str, ok: bool, counterexamples: tuple = ()):
+        self._fill(name, ok, counterexamples)
 
 
 def _report(name: str, offending: PairSet) -> PropositionReport:

@@ -20,11 +20,10 @@ from __future__ import annotations
 
 import enum
 from collections import deque
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from collections.abc import Iterable
 
 from .composition import DEFAULT_MAX_PAIRS, Composition, PairState, PairUniverse
-from .lts import ContractGraph, diverging, reach
+from .lts import ContractGraph, _Record, diverging, reach
 
 
 def _must_targets(universe: PairUniverse) -> frozenset:
@@ -107,15 +106,15 @@ def _checked(kinds) -> tuple:
     return kinds
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(_Record):
     """Outcome of one relation check.  The witness is the shortest tau-path
     from the root to a target of the relation's search, if one is reachable;
     when Must's target diverges, the path goes on until a pair repeats."""
 
-    kind: RelationKind
-    holds: bool
-    witness: Optional[tuple] = None
+    __match_args__ = ("kind", "holds", "witness")
+
+    def __init__(self, kind: RelationKind, holds: bool, witness: tuple | None = None):
+        self._fill(kind, holds, witness)
 
 
 def holding_indices(universe: PairUniverse, kind: RelationKind) -> frozenset:
@@ -208,7 +207,7 @@ def verdict_at(universe: PairUniverse, root: PairState, kind: RelationKind) -> V
 def evaluate(
     client: ContractGraph,
     server: ContractGraph,
-    kinds: Optional[Iterable[RelationKind]] = None,
+    kinds: Iterable[RelationKind] | None = None,
     *,
     max_pairs: int = DEFAULT_MAX_PAIRS,
 ) -> dict:

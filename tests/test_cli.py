@@ -485,6 +485,20 @@ def test_pair_numbers_sort_as_their_value_then_their_text():
         assert sorted(order, key=cli._number_order) == expected
 
 
+def test_matrix_names_the_pair_whose_universe_exceeds_the_bound(capsys, tmp_path):
+    # p1‖q1 has a universe of two pairs, p2‖q2 one of three
+    (tmp_path / "two.bc").write_text(
+        "p1 = !a.0\nq1 = ?a.0\np2 = !a.!b.0\nq2 = ?a.?b.0\n"
+    )
+    code, out, err = run(capsys, "matrix", str(tmp_path), "--max-pairs", "2")
+    assert code == 2
+    assert out == ""
+    assert err == "error: p2‖q2: more than 2 pairs in universe\n"
+    code, out, err = run(capsys, "matrix", str(tmp_path), "--max-pairs", "3", "--json")
+    assert code == 0 and err == ""
+    assert [e["client"] for e in json.loads(out)["pairs"]] == ["p1", "p2"]
+
+
 def test_matrix_pair_column_fits_the_longest_label(capsys, tmp_path):
     (tmp_path / "wide.bc").write_text("p1 = !a.0\nq1 = ?a.0\np100 = !a.0\nq100 = ?b.0\n")
     code, out, err = run(capsys, "matrix", str(tmp_path))

@@ -82,18 +82,17 @@ def test_a_term_pickled_from_lang_still_loads():
 
 
 def loaded_modules(argv) -> set:
-    """The ``bcc`` modules loaded by ``import bcc.cli`` and ``main(argv)`` in
-    a fresh interpreter."""
+    """Every module, ``bcc``'s and the standard library's, loaded by ``import
+    bcc.cli`` and ``main(argv)`` in a fresh interpreter.  It runs under
+    ``-S``: the ``.pth`` files that ``site`` reads may load modules of their
+    own, ``typing`` among them, before any ``bcc`` code runs."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
     )
-    script = (
-        "import sys, bcc.cli; bcc.cli.main(sys.argv[1:]); "
-        "print(*(m for m in sys.modules if m.startswith('bcc')))"
-    )
+    script = "import sys, bcc.cli; bcc.cli.main(sys.argv[1:]); print(*sys.modules)"
     done = subprocess.run(
-        [sys.executable, "-c", script, *argv],
+        [sys.executable, "-S", "-c", script, *argv],
         capture_output=True,
         text=True,
         env=env,
@@ -103,19 +102,36 @@ def loaded_modules(argv) -> set:
     return set(done.stdout.splitlines()[-1].split())
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["check", EXAMPLES, "p1", EXAMPLES, "q1", "--json"],
-        ["matrix", str(ROOT / "corpus"), "--json"],
-        ["dot", EXAMPLES, "p1", EXAMPLES, "q1", os.devnull],
-    ],
-    ids=["check", "matrix", "dot"],
-)
-def test_check_matrix_and_dot_load_no_verify_only_module(argv):
-    loaded = loaded_modules(argv)
+COMMANDS = {
+    "check": ["check", EXAMPLES, "p1", EXAMPLES, "q1", "--json"],
+    "matrix": ["matrix", str(ROOT / "corpus"), "--json"],
+    "dot": ["dot", EXAMPLES, "p1", EXAMPLES, "q1", os.devnull],
+    "verify": ["verify-propositions", str(ROOT / "corpus"), "--json"],
+}
+# standard-library modules that cost more to import than a command's own work
+# on a small input, and that no command but ``verify-propositions --random``
+# needs: the random pairs are drawn as ``terms`` dataclasses
+HEAVY = ("dataclasses", "inspect", "typing")
+
+
+@pytest.mark.parametrize("command", ["check", "matrix", "dot"])
+def test_check_matrix_and_dot_load_no_verify_only_module(command):
+    loaded = loaded_modules(COMMANDS[command])
     assert "bcc.relations" in loaded
     assert loaded.isdisjoint(VERIFY_ONLY)
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_commands_without_random_pairs_load_no_heavy_stdlib_module(command):
+    loaded = loaded_modules(COMMANDS[command])
+    assert "bcc.lts" in loaded
+    assert loaded.isdisjoint(HEAVY), sorted(loaded.intersection(HEAVY))
+
+
+def test_verify_propositions_loads_the_term_modules_only_for_random_pairs():
+    loaded = loaded_modules(COMMANDS["verify"])
+    assert {"bcc.fixpoint", "bcc.propositions"} <= loaded
+    assert loaded.isdisjoint({"bcc.generator", "bcc.terms"})
 
 
 def test_verify_propositions_loads_the_verify_only_modules():

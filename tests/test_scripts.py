@@ -104,10 +104,23 @@ def test_import_probe_prints_import_times_and_modules_by_command():
     for line, caches in ((uncached, "none"), (cached, "written")):
         name, *ms = line.split()
         assert name == caches and all(float(x) > 0 for x in ms)
-    loaded = dict(line.split(": ") for line in commands)
-    assert list(loaded) == ["check", "matrix", "dot", "verify-propositions"]
+    # each command prints its bcc modules, then which heavy stdlib ones it loads
+    loaded, heavy = {}, {}
+    for own, stdlib in zip(commands[::2], commands[1::2]):
+        command, modules = own.split(": ")
+        loaded[command] = modules.split()
+        label, modules = stdlib.split(": ")
+        assert label == f"{command}, of dataclasses inspect typing"
+        heavy[command] = modules.split()
+    assert list(loaded) == [
+        "check", "matrix", "dot", "verify-propositions", "verify-propositions --random"
+    ]
     assert "bcc.terms" not in loaded["check"]
-    assert "bcc.terms" in loaded["verify-propositions"].split()
+    assert "bcc.terms" not in loaded["verify-propositions"]
+    assert "bcc.terms" in loaded["verify-propositions --random"]
+    for command in ["check", "matrix", "dot", "verify-propositions"]:
+        assert heavy[command] == ["none"]
+    assert "dataclasses" in heavy["verify-propositions --random"]
 
 
 def test_code_lines_counts_only_code(tmp_path):
